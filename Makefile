@@ -12,7 +12,7 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # the batch-API contract: svd_batch bit-identical to a loop of svd()
-# across kernels x orderings x executors, plus the hypothesis batch
+# across kernels x orderings x sizes x executors, plus the hypothesis batch
 # properties (order-invariance, determinism, per-item error reporting)
 test-batch:
 	$(PYTHON) -m pytest -x -q tests/test_batch_api.py tests/test_batch_property.py
@@ -47,13 +47,12 @@ lint-schedules:
 	$(PYTHON) -m repro.cli lint --ordering ring_new --ordering ring_modified --topology binary
 
 # the execution-layer gate, one level below lint-schedules: compiled
-# plans re-elaborated against their source schedules, executor
-# chunkings proved race-free and merge-deterministic for every kernel x
-# worker count, single-leaf degradation proved total, fallback chains
-# proved well-formed
+# plans re-elaborated against their source schedules, the simulator
+# fast path's write-set projection proved sound, single-leaf
+# degradation proved total, fallback chains proved well-formed
 analyze:
 	$(PYTHON) -m repro.cli analyze
-	$(PYTHON) -m repro.cli analyze --topology none --workers 3
+	$(PYTHON) -m repro.cli analyze --topology none
 
 # the perf-regression harness: timed scenarios (reference vs batched
 # scalar kernels, gram vs reference block kernels, parallel simulator at
@@ -70,8 +69,8 @@ bench-check:
 	$(PYTHON) -m repro.cli bench --tag check --repeats 3 \
 		--compare BENCH_local.json --max-slowdown 400
 
-# the autotuner: race kernel/ordering/block-size/executor/backend
-# candidates with successive halving and persist the winner to
+# the autotuner: race kernel/ordering/block-size candidates with
+# successive halving and persist the winner to
 # PROFILE_<host>.json; `svd(..., profile=...)` or REPRO_PROFILE then
 # fill any options the caller left unset
 tune:

@@ -124,7 +124,7 @@ def pca_batch(
     compiles once and the Jacobi work runs as stacked GEMMs.  With the
     default knobs, ``pca_batch(xs)[i]`` is bit-identical to
     ``pca(xs[i])``; extra ``svd_kwargs`` (``kernel=``, ``block_size=``,
-    ``executor=``, ``workers=``) are forwarded to :func:`repro.svd_batch`.
+    ``ordering=``) are forwarded to :func:`repro.svd_batch`.
     """
     xs = np.asarray(xs, dtype=np.float64)
     require(xs.ndim == 3, "stack of data matrices expected")

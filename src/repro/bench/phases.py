@@ -21,9 +21,8 @@ guard ensures nested instrumented calls (a driver-level wrapper calling
 a kernel-level one) are charged once, to the outermost phase entered.
 
 The numbers are advisory diagnostics, not gate material: wrapper
-overhead is real for very hot tiny functions, worker *processes* never
-see the patches (their in-process time lands in ``other``), and
-concurrent accumulation from worker threads is unsynchronised (GIL
+overhead is real for very hot tiny functions, and concurrent
+accumulation from ``threads`` executor workers is unsynchronised (GIL
 increments; good to the precision a breakdown needs).  That is why the
 breakdown rides in ``meta`` from one extra instrumented run and the
 gated ``wall_time_s`` median stays uninstrumented.
@@ -130,7 +129,7 @@ def phase_breakdown(work) -> dict[str, float]:
 
     ``{"compute_s", "route_s", "merge_s", "other_s", "total_s"}`` —
     ``other_s`` is the un-attributed remainder (driver control flow,
-    convergence checks, worker-process internals), clamped at zero.
+    convergence checks), clamped at zero.
     """
     t0 = perf_counter()
     with phase_probe() as totals:

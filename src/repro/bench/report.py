@@ -59,8 +59,7 @@ def build_report(
 
     ``blas_threads`` records the pinned BLAS pool size (``None`` = no
     controllable pool found, i.e. the run was *not* pinned) so a reader
-    can attribute executor speedups to the step executor and not to a
-    floating BLAS thread count.
+    can tell a code speedup from a floating BLAS thread count.
     """
     import os
 

@@ -15,13 +15,6 @@ protected:
                      (:class:`~repro.parallel.ParallelJacobiSVD`),
                      i.e. real wall time of the simulator, not modelled
                      machine time (scalar and block granularity);
-``svd-parallel-exec`` one block Jacobi run under a chosen step-execution
-                     backend (:mod:`repro.parallel.executor`) — the
-                     threads-vs-serial and processes-vs-serial pairs are
-                     the multicore headlines (bit-identical results,
-                     wall time scaled by the GIL-releasing GEMM phases
-                     or by fully independent worker processes on
-                     shared-memory column views);
 ``routing``          message-routing throughput over every communication
                      phase of one compiled sweep: the ``loop`` scenario
                      runs the per-message reference router
@@ -40,7 +33,7 @@ protected:
                      ordering registry;
 ``analyze``          latency of the execution-layer analysis gate
                      (:func:`~repro.verify.analyze_registry`: compiled
-                     plans, executor chunkings, fault-tolerance
+                     plans, fast-path write-sets, fault-tolerance
                      totality) — the cost CI pays per ``analyze
                      --quick``;
 ``sanitize-overhead`` one gram-kernel block run with the runtime
@@ -117,18 +110,6 @@ def _block_scenario(kernel: str, ordering: str, n: int, b: int) -> Scenario:
     )
 
 
-def _exec_scenario(executor: str, n: int, b: int, workers: int) -> Scenario:
-    ref = None if executor == "serial" else f"exec/serial/ring_new/n{n}b{b}"
-    return Scenario(
-        name=f"exec/{executor}/ring_new/n{n}b{b}",
-        kind="svd-parallel-exec",
-        params={"executor": executor, "ordering": "ring_new", "n": n,
-                "m": n + 16, "block_size": b,
-                "workers": workers if executor != "serial" else 1},
-        reference=ref,
-    )
-
-
 def _route_scenario(mode: str, ordering: str, n: int) -> Scenario:
     ref = None if mode == "loop" else f"route/loop/{ordering}/n{n}"
     return Scenario(
@@ -140,17 +121,16 @@ def _route_scenario(mode: str, ordering: str, n: int) -> Scenario:
     )
 
 
-def _sanitize_scenario(sanitize: bool, executor: str, n: int,
-                       b: int) -> Scenario:
+def _sanitize_scenario(sanitize: bool, n: int, b: int) -> Scenario:
+    # the "serial" name segment keeps the rows comparable with reports
+    # written when these runs had threaded twins
     switch = "on" if sanitize else "off"
-    ref = f"sanitize/off/{executor}/n{n}b{b}" if sanitize else None
+    ref = f"sanitize/off/serial/n{n}b{b}" if sanitize else None
     return Scenario(
-        name=f"sanitize/{switch}/{executor}/n{n}b{b}",
+        name=f"sanitize/{switch}/serial/n{n}b{b}",
         kind="sanitize-overhead",
-        params={"sanitize": sanitize, "executor": executor,
-                "ordering": "ring_new", "n": n, "m": n + 16,
-                "block_size": b,
-                "workers": 2 if executor == "threads" else 1},
+        params={"sanitize": sanitize, "ordering": "ring_new", "n": n,
+                "m": n + 16, "block_size": b},
         reference=ref,
     )
 
@@ -173,17 +153,16 @@ def default_scenarios(quick: bool = False) -> list[Scenario]:
     """The shipped scenario list.
 
     Full mode: scalar kernels x {fat_tree, ring_new} x n in {32, 64},
-    the block kernels (gram vs reference vs batched at n=128, b=8), the
-    step-executor pair (serial vs threads on the same block run), the
-    sanitizer-overhead pairs (off vs on, serial and threads), the
+    the block kernels (gram vs reference at n=128, b=8), the
+    sanitizer-overhead pair (off vs on), the
     batch-throughput pairs (svd_batch vs the looped-svd baseline at
     batch sizes 10^2-10^4), the routing pair (vectorised vs per-message
     router over one n=256 compiled sweep), the simulator fast-path pair
     (vectorised vs event-driven n=512 gram sweep, speedup in meta), the
     autotuner smoke search, the parallel simulator at scalar and block
     granularity, the fault-recovery overhead run, and the lint and
-    analyze gates (32 scenarios).  ``quick`` mode shrinks every size
-    for CI smoke runs (21 scenarios) while keeping the same name
+    analyze gates (26 scenarios).  ``quick`` mode shrinks every size
+    for CI smoke runs (18 scenarios) while keeping the same name
     structure.
     """
     sizes = (16,) if quick else (32, 64)
@@ -195,14 +174,12 @@ def default_scenarios(quick: bool = False) -> list[Scenario]:
     # the block-gram-vs-reference pair: the BLAS-3 fast path against the
     # per-pair reference numerics on the same block schedule
     bn, bb = (32, 4) if quick else (128, 8)
-    block_kernels = ("reference", "gram") if quick \
-        else ("reference", "batched", "gram")
-    for kernel in block_kernels:
+    for kernel in ("reference", "gram"):
         out.append(_block_scenario(kernel, "ring_new", bn, bb))
     # the simulator fast path against its event-driven twin: one
     # fault-free gram sweep at the largest size the suite runs (the
     # tentpole's speedup claim is recorded here, in meta).  Runs before
-    # the allocation-heavy batch/executor scenarios: the event path's
+    # the allocation-heavy batch scenarios: the event path's
     # per-event object churn is measurably cheaper in a process whose
     # allocator arenas they have already warmed, which deflates the
     # recorded ratio by ~20% if this pair runs after them.
@@ -215,22 +192,11 @@ def default_scenarios(quick: bool = False) -> list[Scenario]:
                     "kernel": "gram", "ordering": "ring_new"},
         )
     )
-    # the executor pairs: the same gram-kernel block run under the
-    # serial, threaded and process step backends (results are
-    # bit-identical; only the wall time may differ, by however many
-    # cores the host offers — on a single-core host the parallel twins
-    # record parity plus dispatch overhead, and the gate only enforces
-    # no-regression)
-    en, eb = (32, 4) if quick else (128, 8)
-    for executor in ("serial", "threads", "processes"):
-        out.append(_exec_scenario(executor, en, eb,
-                                  workers=2 if quick else 4))
-    # the sanitizer-overhead pair(s): the same gram block run with the
+    # the sanitizer-overhead pair: the same gram block run with the
     # runtime sanitizer off and on — the "on" scenario reports its
     # overhead against the off twin
-    for executor in (("serial",) if quick else ("serial", "threads")):
-        for sanitize in (False, True):
-            out.append(_sanitize_scenario(sanitize, executor, en, eb))
+    for sanitize in (False, True):
+        out.append(_sanitize_scenario(sanitize, bn, bb))
     # the batch-throughput pairs: one svd_batch call against the looped
     # svd() baseline it amortises, at n=16 b=4 (the per-user workload
     # shape); full mode spans batch sizes 10^2-10^4 (the 10^4 point is
@@ -295,8 +261,7 @@ def default_scenarios(quick: bool = False) -> list[Scenario]:
         Scenario(
             name="analyze/registry",
             kind="analyze",
-            params={"sizes": [8] if quick else [8, 16],
-                    "workers": [1, 2]},
+            params={"sizes": [8] if quick else [8, 16]},
         )
     )
     return out
@@ -353,28 +318,6 @@ def run_scenario(
                 converged=bool(r.converged),
             )
 
-    elif scenario.kind == "svd-parallel-exec":
-        from ..blockjacobi import BlockJacobiOptions, block_jacobi_svd
-        from ..orderings import make_ordering
-
-        rng = np.random.default_rng(_SEED)
-        a = rng.standard_normal((p["m"], p["n"]))
-        ordering = make_ordering(p["ordering"], p["n"] // p["block_size"])
-        options = BlockJacobiOptions(block_size=p["block_size"],
-                                     kernel="gram",
-                                     executor=p["executor"],
-                                     workers=p["workers"])
-
-        def work() -> None:
-            r = block_jacobi_svd(a, ordering=ordering, options=options)
-            meta.update(
-                sweeps=r.sweeps,
-                rotations=r.rotations,
-                converged=bool(r.converged),
-                executor=p["executor"],
-                workers=p["workers"],
-            )
-
     elif scenario.kind == "sanitize-overhead":
         from ..blockjacobi import BlockJacobiOptions, block_jacobi_svd
         from ..orderings import make_ordering
@@ -384,8 +327,6 @@ def run_scenario(
         ordering = make_ordering(p["ordering"], p["n"] // p["block_size"])
         options = BlockJacobiOptions(block_size=p["block_size"],
                                      kernel="gram",
-                                     executor=p["executor"],
-                                     workers=p["workers"],
                                      sanitize=p["sanitize"])
 
         def work() -> None:
@@ -395,7 +336,6 @@ def run_scenario(
                 rotations=r.rotations,
                 converged=bool(r.converged),
                 sanitize=p["sanitize"],
-                executor=p["executor"],
             )
 
     elif scenario.kind == "svd-batch":
@@ -571,10 +511,9 @@ def run_scenario(
         from ..verify import analyze_registry
 
         sizes = tuple(p["sizes"])
-        workers = tuple(p["workers"])
 
         def work() -> None:
-            reports = analyze_registry(sizes=sizes, workers=workers)
+            reports = analyze_registry(sizes=sizes)
             meta.update(targets=len(reports), clean=all(r.ok for r in reports))
 
     else:

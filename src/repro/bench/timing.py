@@ -7,10 +7,10 @@ median over repeats as the headline number — the median is robust to the
 one-sided noise (interrupts, frequency ramps) that contaminates means.
 
 :func:`pin_blas_threads` removes the other big timing confounder: an
-unpinned BLAS pool whose thread count floats with the machine makes the
-step executor's speedup unattributable (is it our workers or OpenBLAS's?).
-The harness pins BLAS to one thread so every reported speedup is the step
-executor's alone.
+unpinned BLAS pool whose thread count floats with the machine makes a
+speedup unattributable (is it the algorithm or OpenBLAS's threading?).
+The harness pins BLAS to one thread so every reported speedup is the
+code's alone.
 """
 
 from __future__ import annotations

@@ -57,36 +57,23 @@ class BlockJacobiOptions:
         block granularity).
     ``kernel``
         Local block-pair solver: ``"gram"`` (BLAS-3 Gram-space fast
-        path, the default), ``"batched"`` (fused gathered 2x2
-        transforms) or ``"reference"`` (per-step masked rotations, the
-        numerics the others are tested against) — see
-        :mod:`repro.blockjacobi.kernel`.
+        path, the default) or ``"reference"`` (per-step masked
+        rotations, the numerics the gram kernel is tested against) —
+        see :mod:`repro.blockjacobi.kernel`.
     ``executor``
-        Step-execution backend: ``"serial"``, ``"threads"`` (worker
+        Step-execution backend: ``"serial"`` or ``"threads"`` (worker
         threads share the column buffer; each solves a disjoint subset
         of a step's independent pair subproblems — bit-identical to
-        serial for any worker count) or ``"processes"`` (a persistent
-        worker-process pool operating on ``multiprocessing.shared_memory``
-        views of the column buffer; chunks are dispatched by bounds, not
-        by pickling matrices, and the same per-chunk BLAS path keeps the
-        bit-parity guarantee).  ``None`` resolves from
+        serial for any worker count).  ``None`` resolves from
         ``$REPRO_EXECUTOR`` (default serial).  See
         :mod:`repro.parallel.executor`.
     ``workers``
-        Workers of the ``threads``/``processes`` backends; ``None``
-        resolves from ``$REPRO_WORKERS`` (default: CPU count).
-    ``compute_backend``
-        Batched-GEMM backend the block kernels dispatch through:
-        ``"numpy"`` (default), ``"einsum"`` (bit-identical), or the
-        optional ``"numba"``/``"cupy"`` (tolerance-equal, registered
-        only when importable — unavailable ones fall back to numpy with
-        a :class:`~repro.kernels.ComputeBackendWarning`).  ``None``
-        resolves from ``$REPRO_COMPUTE_BACKEND``.  See
-        :mod:`repro.kernels`.
+        Workers of the ``threads`` backend; ``None`` resolves from
+        ``$REPRO_WORKERS`` (default: CPU count).
     ``sanitize``
         Arm the runtime sanitizer (:mod:`repro.verify.sanitize`):
-        per-step write-set records cross-checked against the static
-        chunking, plus sweep-boundary numeric canaries.  ``None``
+        per-step write-set records cross-checked against the per-pair
+        column sets, plus sweep-boundary numeric canaries.  ``None``
         resolves from ``$REPRO_SANITIZE`` (default off); a violation
         raises :class:`~repro.verify.sanitize.SanitizerError`.
     """
@@ -100,10 +87,8 @@ class BlockJacobiOptions:
     executor: str | None = None
     workers: int | None = None
     sanitize: bool | None = None
-    compute_backend: str | None = None
 
     def __post_init__(self) -> None:
-        from ..kernels import COMPUTE_BACKENDS
         from ..parallel.executor import EXECUTORS, unknown_executor_message
 
         # inner_sweeps = 0 would make every local solve a no-op that
@@ -121,10 +106,6 @@ class BlockJacobiOptions:
                 unknown_executor_message(self.executor))
         require(self.workers is None or self.workers >= 1,
                 f"workers must be >= 1, got {self.workers!r}")
-        require(self.compute_backend is None
-                or self.compute_backend in COMPUTE_BACKENDS,
-                f"unknown compute backend {self.compute_backend!r}; "
-                f"registered: {', '.join(COMPUTE_BACKENDS)}")
 
     def make_executor(self):
         """Build the run's :class:`~repro.parallel.executor.StepExecutor`
@@ -132,13 +113,6 @@ class BlockJacobiOptions:
         from ..parallel.executor import resolve_executor
 
         return resolve_executor(self.executor, self.workers)
-
-    def make_compute_backend(self):
-        """Resolve the run's :class:`~repro.kernels.ComputeBackend`
-        (falls back to numpy with a warning when unavailable)."""
-        from ..kernels import resolve_compute_backend
-
-        return resolve_compute_backend(self.compute_backend)
 
     def make_sanitizer(self):
         """Build the run's :class:`~repro.verify.sanitize.RuntimeSanitizer`,
@@ -175,13 +149,8 @@ def block_jacobi_svd(
     else:
         ord_obj = make_ordering(ordering, n_blocks, **ordering_kwargs)
 
-    executor = opts.make_executor()
-    backend = opts.make_compute_backend()
-    # adopt the run-lifetime arrays into the executor's arena: for the
-    # processes backend these become shared-memory views the workers
-    # attach by name, so steps ship bounds instead of matrices
-    X = executor.adopt("X", a.copy())
-    V = executor.adopt("V", np.eye(n)) if compute_uv else None
+    X = a.copy()
+    V = np.eye(n) if compute_uv else None
     # block_cols[s] = the matrix columns currently stored in block slot s
     block_cols = np.arange(n, dtype=np.intp).reshape(n_blocks, b)
 
@@ -190,8 +159,8 @@ def block_jacobi_svd(
     sweeps = 0
     sanitizer = opts.make_sanitizer()
     if sanitizer is not None:
-        executor.sanitizer = sanitizer
         sanitizer.arm_reference(X)
+    executor = opts.make_executor()
     try:
         for sweep in range(opts.max_sweeps):
             plan = compile_schedule(ord_obj.sweep(sweep))
@@ -202,9 +171,8 @@ def block_jacobi_svd(
                     pair_cols = block_cols[cs.pairs].reshape(cs.n_pairs, 2 * b)
                     st, mx = solve_block_step(X, V, pair_cols, opts.tol,
                                               opts.sort, opts.inner_sweeps,
-                                              opts.kernel, executor=executor,
-                                              sanitizer=sanitizer,
-                                              compute_backend=backend)
+                                              opts.kernel, sanitizer=sanitizer,
+                                              executor=executor)
                     worst = max(worst, mx)
                     rotations += st.applied
                 if cs.has_moves:
@@ -227,10 +195,6 @@ def block_jacobi_svd(
                 converged = True
                 break
     finally:
-        # copy shared-memory views back out before the arena is freed
-        X = executor.reclaim(X)
-        if V is not None:
-            V = executor.reclaim(V)
         executor.close()
 
     watchdog_msg = None
@@ -341,12 +305,9 @@ def block_jacobi_svd_batch(
     else:
         ord_obj = make_ordering(ordering, n_blocks, **ordering_kwargs)
 
-    executor = opts.make_executor()
-    backend = opts.make_compute_backend()
-    Xs = executor.adopt("Xs", stack.copy())
-    Vs = executor.adopt(
-        "Vs", np.broadcast_to(np.eye(n), (nitems, n, n)).copy()
-    ) if compute_uv else None
+    Xs = stack.copy()
+    Vs = np.broadcast_to(np.eye(n), (nitems, n, n)).copy() \
+        if compute_uv else None
     # the block trajectory is data-independent, hence shared by all items
     block_cols = np.arange(n, dtype=np.intp).reshape(n_blocks, b)
 
@@ -361,6 +322,7 @@ def block_jacobi_svd_batch(
         sanitizers = [RuntimeSanitizer() for _ in range(nitems)]
         for i in range(nitems):
             sanitizers[i].arm_reference(Xs[i])
+    executor = opts.make_executor()
     try:
         for sweep in range(opts.max_sweeps):
             if active.size == 0:
@@ -373,8 +335,7 @@ def block_jacobi_svd_batch(
                     pair_cols = block_cols[cs.pairs].reshape(cs.n_pairs, 2 * b)
                     ap, wo = solve_block_step_batch(
                         Xs, Vs, active, pair_cols, opts.tol, opts.sort,
-                        opts.inner_sweeps, opts.kernel, executor=executor,
-                        compute_backend=backend)
+                        opts.inner_sweeps, opts.kernel, executor=executor)
                     worst = np.maximum(worst, wo)
                     rotations += ap
                 if cs.has_moves:
@@ -397,9 +358,6 @@ def block_jacobi_svd_batch(
             converged[active[done]] = True
             active = active[~done]
     finally:
-        Xs = executor.reclaim(Xs)
-        if Vs is not None:
-            Vs = executor.reclaim(Vs)
         executor.close()
 
     watchdogs: list[str | None] = [None] * nitems

@@ -2,20 +2,14 @@
 
 A met block pair is a set of ``2b`` co-resident columns ``Y`` that must
 be orthogonalised against each other before the schedule moves the
-blocks on.  Three interchangeable solvers are provided:
+blocks on.  Two interchangeable solvers are provided:
 
 ``reference``
     The original loop: ``inner_sweeps`` cyclic odd-even sweeps of
     disjoint plane rotations, each step a masked BLAS-1
     :func:`~repro.svd.rotations.apply_step_rotations` call on the full
-    matrix.  The numerics every other kernel is tested against.
-
-``batched``
-    The same sweep structure, but the ``2b`` columns (data and ``V``
-    rows stacked) are gathered once into a column-as-row buffer and each
-    step is one fused
-    :func:`~repro.svd.rotations.apply_step_rotations_batched` call —
-    the scalar fast path of PR 2 reaching the block regime.
+    matrix.  The numerics the gram kernel is tested against, and the
+    last rung of its fallback chain.
 
 ``gram``
     BLAS-3: form the ``2b x 2b`` Gram matrix ``G = Y^T Y`` once, run the
@@ -30,6 +24,12 @@ blocks on.  Three interchangeable solvers are provided:
     :func:`solve_block_step`: one stacked Gram form, one batched small
     Jacobi, one stacked application — on a simulated machine this is
     exactly the work the leaves do concurrently.
+
+An optional ``executor`` (a :class:`~repro.parallel.executor.StepExecutor`)
+splits a step's independent work across threads: the reference kernel's
+loop over pairs, and the gram kernel's two GEMM phases along the pair
+axis.  Chunks write disjoint columns and each 2D GEMM is computed
+exactly as in one chunk, so any worker count yields the serial bits.
 
 Accuracy note for ``gram``: forming and applying in Gram space is
 norm-wise backward stable, but the BLAS-3 application mixes all ``2b``
@@ -49,37 +49,17 @@ from functools import lru_cache
 import numpy as np
 
 from ..eig.jacobi import gram_eigh_batched, gram_eigh_grouped
-from ..kernels import ComputeBackend, numpy_backend, resolve_compute_backend
-from ..svd.rotations import (
-    RotationStats,
-    apply_step_rotations,
-    apply_step_rotations_batched,
-)
+from ..svd.rotations import RotationStats, apply_step_rotations
 from ..util.errors import NumericalBreakdown
 from ..util.validation import require
 
-__all__ = ["BLOCK_KERNELS", "FALLBACK_CHAINS", "GRAM_NOISE", "KERNEL_STAGES",
+__all__ = ["BLOCK_KERNELS", "FALLBACK_CHAINS", "GRAM_NOISE",
            "fastpath_gram_flush", "fastpath_gram_step", "solve_block_pair",
            "solve_block_step",
            "solve_block_step_batch"]
 
 #: registered block-pair kernels; ``gram`` is the BLAS-3 fast path
-BLOCK_KERNELS = ("reference", "batched", "gram")
-
-#: declarative stage structure of each kernel under the step executor:
-#: ``(stage name, splittable)`` in execution order.  A splittable stage
-#: may be chunked over its batch/pair dimension (every chunk writes a
-#: disjoint slice); an unsplittable stage must run as one full-stack
-#: call — the gram kernel's inner Jacobi couples matrices across the
-#: batch through its convergence floor, so splitting it would change
-#: the rotation sequence and break the bit-identity contract.  The
-#: static executor-plan analyzer (:mod:`repro.verify.executor_plan`)
-#: proves each stage's chunking against this table (rule ``EXEC002``).
-KERNEL_STAGES: dict[str, tuple[tuple[str, bool], ...]] = {
-    "reference": (("pair-solve", True),),
-    "batched": (("pair-solve", True),),
-    "gram": (("gram-form", True), ("gram-solve", False), ("gram-apply", True)),
-}
+BLOCK_KERNELS = ("reference", "gram")
 
 #: per-kernel fallback chain on :class:`NumericalBreakdown`: when a
 #: solver's Gram quantities go non-finite, the affected block pairs are
@@ -89,8 +69,7 @@ KERNEL_STAGES: dict[str, tuple[tuple[str, bool], ...]] = {
 #: propagates to the caller — under a fault-recovery driver that
 #: triggers a sweep-checkpoint rollback instead of garbage output.
 FALLBACK_CHAINS = {
-    "gram": ("gram", "batched", "reference"),
-    "batched": ("batched", "reference"),
+    "gram": ("gram", "reference"),
     "reference": ("reference",),
 }
 
@@ -107,6 +86,29 @@ _TINY = float(np.finfo(np.float64).tiny)
 _SORT_MODES = ("desc", "asc", None)
 
 
+def _dispatch(executor, n_items: int, fn):
+    """Run ``fn(lo, hi)`` over ``executor``'s chunking of
+    ``range(n_items)``, results in chunk order (``None``: one chunk in
+    the calling thread)."""
+    if executor is None:
+        return [fn(0, n_items)] if n_items > 0 else []
+    return executor.run_chunks(n_items, fn)
+
+
+def _dispatch_bounds(executor, n_items: int) -> list[tuple[int, int]]:
+    """The chunk bounds :func:`_dispatch` ran with, for sanitizer
+    records replayed in the calling thread after the dispatch settles."""
+    if executor is None:
+        return [(0, n_items)] if n_items > 0 else []
+    return executor.chunk_bounds(n_items, executor.workers)
+
+
+def _require_kernel(kernel: str) -> None:
+    require(kernel in BLOCK_KERNELS,
+            f"unknown block kernel {kernel!r}; "
+            f"available: {', '.join(BLOCK_KERNELS)}")
+
+
 def solve_block_pair(
     X: np.ndarray,
     V: np.ndarray | None,
@@ -115,7 +117,6 @@ def solve_block_pair(
     sort: str | None,
     inner_sweeps: int,
     kernel: str = "gram",
-    compute_backend: "str | ComputeBackend | None" = None,
 ) -> tuple[RotationStats, float]:
     """Orthogonalise the ``2b`` columns ``cols`` of ``X`` against each other.
 
@@ -127,8 +128,7 @@ def solve_block_pair(
     that makes sorted output emerge at block granularity.
     """
     return solve_block_step(X, V, [np.asarray(cols, dtype=np.intp)],
-                            tol, sort, inner_sweeps, kernel,
-                            compute_backend=compute_backend)
+                            tol, sort, inner_sweeps, kernel)
 
 
 def solve_block_step(
@@ -139,9 +139,8 @@ def solve_block_step(
     sort: str | None,
     inner_sweeps: int,
     kernel: str = "gram",
-    executor=None,
     sanitizer=None,
-    compute_backend: "str | ComputeBackend | None" = None,
+    executor=None,
 ) -> tuple[RotationStats, float]:
     """Solve every met block pair of one schedule step.
 
@@ -151,24 +150,6 @@ def solve_block_step(
     independent and the gram kernel batches them into stacked BLAS-3
     calls.  Returns merged rotation counters and the worst first-touch
     relative off-diagonal across all pairs.
-
-    ``executor`` (a :class:`~repro.parallel.executor.StepExecutor`)
-    spreads the step's independent work over worker threads or
-    processes: the gram kernel chunks only its gather/Gram-form and
-    apply/scatter GEMM phases — the inner Gram Jacobi stays one
-    full-stack solve, because its convergence floor couples matrices
-    across the batch and splitting it would change the rotation
-    sequence — while the per-pair kernels chunk the pair loop itself.
-    The chunked phases are module-level *tasks* dispatched through
-    :meth:`~repro.parallel.executor.StepExecutor.run_shared`, so the
-    process backend ships bounds and shared-memory specs instead of
-    matrices.  Either way the result is bit-identical to the serial
-    path for any worker count (see :mod:`repro.parallel.executor` for
-    the contract).
-
-    ``compute_backend`` selects the batched-GEMM primitives
-    (:mod:`repro.kernels`); ``None`` resolves from
-    ``$REPRO_COMPUTE_BACKEND`` (default numpy).
 
     On :class:`~repro.util.errors.NumericalBreakdown` the step degrades
     gracefully: the pairs are re-solved one by one, each walking down
@@ -181,58 +162,32 @@ def solve_block_step(
     sets they actually scatter into, and the record is cross-checked
     against the per-pair column sets when the step closes (rule
     ``SAN001``).
+
+    ``executor`` (a :class:`~repro.parallel.executor.StepExecutor`, or
+    ``None`` for the calling thread) chunks the step's independent
+    work; the inner Gram Jacobi is never chunked (its convergence floor
+    couples the matrices of the stack), so the result is bit-identical
+    for any worker count.
     """
     require(sort in _SORT_MODES, f"sort must be one of {_SORT_MODES}, got {sort!r}")
     if len(pair_cols) == 0:
         return RotationStats(), 0.0
-    require(kernel in BLOCK_KERNELS,
-            f"unknown block kernel {kernel!r}; "
-            f"available: {', '.join(BLOCK_KERNELS)}")
-    backend = resolve_compute_backend(compute_backend)
+    _require_kernel(kernel)
     if sanitizer is None:
         return _solve_step_body(X, V, pair_cols, tol, sort, inner_sweeps,
-                                kernel, executor, None, backend)
+                                kernel, executor=executor)
     expected = [frozenset(int(c) for c in pair_cols[i])
                 for i in range(len(pair_cols))]
-    workers = 1 if executor is None else executor.workers
-    sanitizer.begin_step(len(pair_cols), expected, workers=workers)
+    sanitizer.begin_step(len(pair_cols), expected)
     try:
         out = _solve_step_body(X, V, pair_cols, tol, sort, inner_sweeps,
-                               kernel, executor, sanitizer, backend)
+                               kernel, sanitizer, executor)
     except BaseException:
         # the step never completed; its write-set record is meaningless
         sanitizer.abort_step()
         raise
     sanitizer.end_step()
     return out
-
-
-def _phase_bounds(executor, n_items: int,
-                  chunked: bool) -> list[tuple[int, int]]:
-    """The chunk bounds a dispatched phase ran with (for parent-side
-    sanitizer records: under the process backend ``record_touch`` cannot
-    run inside the workers, so the parent replays the deterministic
-    bounds after the dispatch settles)."""
-    if not chunked:
-        return [(0, n_items)] if n_items else []
-    return executor.chunk_bounds(n_items, executor.workers)
-
-
-def _task_solve_pairs(
-    arrays: dict, lo: int, hi: int, *, cols, tol, sort, inner_sweeps,
-    chain, backend,
-) -> tuple[RotationStats, float]:
-    """Chunk task of the per-pair kernels: solve pairs ``[lo, hi)``."""
-    X = arrays["X"]
-    V = arrays.get("V")
-    stats = RotationStats()
-    worst = 0.0
-    for i in range(lo, hi):
-        st, mx = _solve_pair_chain(X, V, cols[i], tol, sort,
-                                   inner_sweeps, chain, backend)
-        stats.merge(st)
-        worst = max(worst, mx)
-    return stats, worst
 
 
 def _solve_step_body(
@@ -243,37 +198,34 @@ def _solve_step_body(
     sort: str | None,
     inner_sweeps: int,
     kernel: str,
-    executor,
-    sanitizer,
-    backend: ComputeBackend | None = None,
+    sanitizer=None,
+    executor=None,
 ) -> tuple[RotationStats, float]:
     """The dispatch body of :func:`solve_block_step` (validated input)."""
-    backend = backend if backend is not None else numpy_backend()
     if kernel == "gram":
         try:
             return _solve_gram_many(X, V, pair_cols, tol, sort, inner_sweeps,
-                                    executor, sanitizer, backend)
+                                    sanitizer, executor)
         except NumericalBreakdown:
             pass  # isolate the poisoned pairs via the per-pair chain
     chain = FALLBACK_CHAINS[kernel]
-    n_pairs = len(pair_cols)
-    arrays = {"X": X}
-    if V is not None:
-        arrays["V"] = V
-    payload = dict(cols=pair_cols, tol=tol, sort=sort,
-                   inner_sweeps=inner_sweeps, chain=chain, backend=backend)
-    chunked = executor is not None and executor.workers > 1
-    if not chunked:
-        out = [_task_solve_pairs(arrays, 0, n_pairs, **payload)]
-    else:
-        # pairs touch disjoint columns, so the chunks are fully
-        # independent; results merge in chunk order for a deterministic
-        # reduction
-        out = executor.run_shared(n_pairs, _task_solve_pairs, arrays,
-                                  **payload)
+
+    def solve_pairs(lo: int, hi: int) -> tuple[RotationStats, float]:
+        stats = RotationStats()
+        worst = 0.0
+        for i in range(lo, hi):
+            st, mx = _solve_pair_chain(X, V, pair_cols[i], tol, sort,
+                                       inner_sweeps, chain)
+            stats.merge(st)
+            worst = max(worst, mx)
+        return stats, worst
+
+    # pairs touch disjoint columns, so the chunks are independent; the
+    # results merge in chunk order for a deterministic reduction
+    out = _dispatch(executor, len(pair_cols), solve_pairs)
     if sanitizer is not None:
         # the per-pair solvers rewrite every column of their pairs
-        for lo, hi in _phase_bounds(executor, n_pairs, chunked):
+        for lo, hi in _dispatch_bounds(executor, len(pair_cols)):
             sanitizer.record_touch(
                 lo, hi, np.concatenate([np.asarray(pair_cols[i])
                                         for i in range(lo, hi)]))
@@ -293,7 +245,6 @@ def _solve_pair_chain(
     sort: str | None,
     inner_sweeps: int,
     chain: tuple[str, ...],
-    backend: ComputeBackend | None = None,
 ) -> tuple[RotationStats, float]:
     """Solve one block pair, falling down ``chain`` on breakdown."""
     last: NumericalBreakdown | None = None
@@ -302,9 +253,7 @@ def _solve_pair_chain(
         try:
             if kern == "gram":
                 st, mx = _solve_gram_many(X, V, [cols], tol, sort,
-                                          inner_sweeps, backend=backend)
-            elif kern == "batched":
-                st, mx = _solve_batched(X, V, cols, tol, sort, inner_sweeps)
+                                          inner_sweeps)
             else:
                 st, mx = _solve_reference_guarded(X, V, cols, tol, sort,
                                                   inner_sweeps)
@@ -389,58 +338,6 @@ def _solve_reference(
     return stats, worst
 
 
-def _solve_batched(
-    X: np.ndarray,
-    V: np.ndarray | None,
-    cols: np.ndarray,
-    tol: float,
-    sort: str | None,
-    inner_sweeps: int,
-) -> tuple[RotationStats, float]:
-    """The reference sweep structure on a gathered column-as-row buffer.
-
-    The ``2b`` stacked ``[X; V]`` columns are gathered once, every
-    odd-even step is one fused batched 2x2 transform, and the result is
-    scattered back once — the scalar batched kernel's layout applied at
-    block-pair scope (the local norm cache lives only for this solve, so
-    no cross-sweep cache coherence is needed).
-    """
-    k = len(cols)
-    m = X.shape[0]
-    if V is not None:
-        WT = np.hstack((X[:, cols].T, V[:, cols].T))
-    else:
-        WT = np.ascontiguousarray(X[:, cols].T)
-    norms_sq = np.einsum("ij,ij->i", WT[:, :m], WT[:, :m])
-    stats = RotationStats()
-    worst = 0.0
-    first = True
-    # local row r holds column cols[r]; orientation follows column ids
-    order = list(range(k))
-    for _ in range(inner_sweeps):
-        for parity in range(k):
-            starts = range(parity % 2, k - 1, 2)
-            ra = np.array([order[i] for i in starts], dtype=np.intp)
-            rb = np.array([order[i + 1] for i in starts], dtype=np.intp)
-            if ra.size:
-                flip = cols[ra] > cols[rb]
-                ab = np.column_stack((ra, rb))
-                P = np.where(flip[:, None], ab[:, ::-1], ab)
-                st, mx = apply_step_rotations_batched(
-                    WT, P, tol, sort, norms_sq, m
-                )
-                stats.merge(st)
-                if first:
-                    worst = max(worst, mx)
-            for i in starts:
-                order[i], order[i + 1] = order[i + 1], order[i]
-        first = False
-    X[:, cols] = WT[:, :m].T
-    if V is not None:
-        V[:, cols] = WT[:, m:].T
-    return stats, worst
-
-
 def _sort_perm(w: np.ndarray, sort: str | None) -> np.ndarray | None:
     if sort == "desc":
         return np.argsort(-w, kind="stable")
@@ -503,43 +400,6 @@ def _apply_sort_only(
             sanitizer.record_touch(0, len(pair_cols), tgt)
 
 
-def _scratch(executor, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Step scratch: executor-managed (shared memory under the process
-    backend) or plain ``np.empty`` without one."""
-    if executor is None:
-        return np.empty(shape)
-    return executor.scratch(key, shape)
-
-
-def _task_gram_form(arrays: dict, lo: int, hi: int, *, cols, k, m,
-                    backend) -> None:
-    """Gather chunk ``[lo, hi)`` of the step's columns and form its Gram
-    blocks — writes only its own ``Ys``/``G`` slices."""
-    X = arrays["X"]
-    Ys = arrays["Ys"]
-    G = arrays["G"]
-    XT = X.T
-    Ys[lo:hi] = XT[cols[lo:hi].reshape(-1)].reshape(hi - lo, k, m)
-    backend.gram(Ys[lo:hi], out=G[lo:hi])
-
-
-def _task_gram_apply(arrays: dict, lo: int, hi: int, *, cols, tgt, k, m, n,
-                     backend) -> None:
-    """Apply chunk ``[lo, hi)`` of the step's rotation factors and
-    scatter into the (disjoint) target columns."""
-    X = arrays["X"]
-    Ys = arrays["Ys"]
-    W = arrays["W"]
-    V = arrays.get("V")
-    out = backend.apply_wt(W[lo:hi], Ys[lo:hi])  # (Y_i W_i)^T
-    t = tgt[lo:hi].reshape(-1)
-    X[:, t] = out.reshape((hi - lo) * k, m).T
-    if V is not None:
-        Vs = V.T[cols[lo:hi].reshape(-1)].reshape(hi - lo, k, n)
-        vout = backend.apply_wt(W[lo:hi], Vs)
-        V[:, t] = vout.reshape((hi - lo) * k, n).T
-
-
 def _gram_measure(
     G: np.ndarray,
     cols_arr: np.ndarray,
@@ -582,7 +442,6 @@ def _gram_factors(
     sort: str | None,
     inner_sweeps: int,
     floor: np.ndarray,
-    backend: ComputeBackend,
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """Inner Gram Jacobi plus the sort convention — the factor half of
     the gram kernel, shared by both execution paths.  Returns
@@ -591,7 +450,7 @@ def _gram_factors(
     column targets, or ``cols_arr`` itself with ``sort=None``)."""
     W, rotations, _, _ = gram_eigh_batched(G, tol=tol,
                                            max_sweeps=inner_sweeps,
-                                           floor=floor, backend=backend)
+                                           floor=floor)
     if not np.isfinite(W).all():
         raise NumericalBreakdown(
             "non-finite rotation factor from the inner Gram Jacobi")
@@ -662,7 +521,6 @@ def fastpath_gram_step(
     tol: float,
     sort: str | None,
     inner_sweeps: int,
-    backend: ComputeBackend | None = None,
     scratch: "dict | None" = None,
 ) -> tuple[RotationStats, float]:
     """One schedule step of the gram kernel on transposed storage — the
@@ -672,7 +530,7 @@ def fastpath_gram_step(
     as contiguous *rows*; ``row_of_col`` maps column id -> physical row
     (updated in place).  The step gathers its rows into the same
     C-contiguous ``(nb, 2b, m)`` stacks as the event path's
-    :func:`_task_gram_form`, runs the shared measurement/factor helpers,
+    :func:`_solve_gram_many`, runs the shared measurement/factor helpers,
     and scatters results back into the gathered rows — so every GEMM
     sees bit-identical operands in bit-identical layouts, and row-major
     fancy gathers replace the event path's strided column gathers (the
@@ -681,14 +539,13 @@ def fastpath_gram_step(
     zero data movement, same ``stats.exchanged`` count.  ``scratch``
     (see :func:`_fp_buffer`) carries the step stacks across a sweep so
     steady-state steps are allocation-free; ``np.take(..., mode="clip")``
-    and the backends' ``out=`` forms copy the same bits as the
-    allocating forms.
+    and ``np.matmul(..., out=)`` copy the same bits as the allocating
+    forms.
 
     Raises :class:`~repro.util.errors.NumericalBreakdown` before
     touching any row; the caller materialises ``X``/``V`` and delegates
     the step to the event-path solver (same per-pair fallback chain).
     """
-    backend = backend if backend is not None else numpy_backend()
     stats = RotationStats()
     cols_arr = np.asarray(cols_arr, dtype=np.intp)
     nb, k = cols_arr.shape
@@ -713,7 +570,8 @@ def fastpath_gram_step(
         idx = None
         np.take(XT, rows, axis=0, out=Ys2d, mode="clip")
     Ys = Ys2d.reshape(nb, k, m)
-    G = backend.gram(Ys, out=_fp_buffer(scratch, "G", nb, (k, k)))
+    G = np.matmul(Ys, Ys.transpose(0, 2, 1),
+                  out=_fp_buffer(scratch, "G", nb, (k, k)))
     G, d, floor, worst = _gram_measure(G, cols_arr, k, tol)
     if worst <= tol:
         # already orthogonal: only the norm-ordering convention may act,
@@ -723,7 +581,7 @@ def fastpath_gram_step(
             row_of_col[tgt] = row_of_col[src]
         return stats, worst
     W, rotations, tgt_arr = _gram_factors(G, cols_arr, tol, sort,
-                                          inner_sweeps, floor, backend)
+                                          inner_sweeps, floor)
     stats.applied = rotations
     if VT is not None:
         nv = VT.shape[1]
@@ -738,10 +596,11 @@ def fastpath_gram_step(
         # operands out, so the stack buffers are free to take the
         # (Y_i W_i)^T outputs; XT/VT go stale until the next flush
         xstk = _fp_buffer(scratch, "xstk", n_rows, (m,))
-        backend.apply_wt(W, Ys, out=xstk.reshape(nb, k, m))
+        WT = W.transpose(0, 2, 1)
+        np.matmul(WT, Ys, out=xstk.reshape(nb, k, m))
         if VT is not None:
             vstk = _fp_buffer(scratch, "vstk", n_rows, (nv,))
-            backend.apply_wt(W, Vs, out=vstk.reshape(nb, k, nv))
+            np.matmul(WT, Vs, out=vstk.reshape(nb, k, nv))
         scratch["stack_rows"] = rows
         pos = scratch.get("pos")
         if pos is None or len(pos) != n_rows:
@@ -750,11 +609,12 @@ def fastpath_gram_step(
         pos[rows] = np.arange(n_rows, dtype=np.intp)
     else:
         out2d = _fp_buffer(scratch, "out", nb * k, (m,))
-        backend.apply_wt(W, Ys, out=out2d.reshape(nb, k, m))  # (Y_i W_i)^T
+        WT = W.transpose(0, 2, 1)
+        np.matmul(WT, Ys, out=out2d.reshape(nb, k, m))  # (Y_i W_i)^T
         XT[rows] = out2d
         if VT is not None:
             vout2d = _fp_buffer(scratch, "vout", nb * k, (nv,))
-            backend.apply_wt(W, Vs, out=vout2d.reshape(nb, k, nv))
+            np.matmul(WT, Vs, out=vout2d.reshape(nb, k, nv))
             VT[rows] = vout2d
     row_of_col[tgt_arr.reshape(-1)] = rows
     return stats, worst
@@ -767,29 +627,23 @@ def _solve_gram_many(
     tol: float,
     sort: str | None,
     inner_sweeps: int,
-    executor=None,
     sanitizer=None,
-    backend: ComputeBackend | None = None,
+    executor=None,
 ) -> tuple[RotationStats, float]:
     """BLAS-3 Gram-space solve of a whole step's met pairs at once.
 
     One stacked Gram form ``G_i = Y_i^T Y_i``, one batched small Jacobi
     (:func:`repro.eig.gram_eigh_batched`), one stacked application
     ``Y_i <- Y_i W_i`` / ``V_i <- V_i W_i`` — every flop is a batched
-    GEMM over the ``(nb, 2b, *)`` stack.
+    GEMM over the ``(nb, 2b, *)`` stack.  The inner Jacobi is one
+    full-stack call: its convergence floor couples the matrices of the
+    stack, which is why the batch driver groups it per problem
+    (:func:`repro.eig.gram_eigh_grouped`) instead of splitting it.
 
-    With an ``executor``, the two GEMM phases (gather/Gram-form and
-    apply/scatter) are chunked over the batch dimension: each chunk
-    gathers and writes only its own ``[lo:hi]`` slice of the
-    preallocated stacks, and each 2D GEMM inside the batch is computed
-    exactly as in the serial path, so the result is bit-identical for
-    any worker count.  The inner Jacobi between the phases is
-    deliberately one full-stack call: its convergence floor couples
-    matrices across the batch (a converged-by-floor block in a mixed
-    batch would receive extra rotations if batches were split), so
-    chunking it would break the determinism contract.
+    With an ``executor``, the gather/Gram-form and apply/scatter phases
+    are chunked along the pair axis: each chunk reads and writes only
+    its own ``[lo:hi]`` slice of the stacks and its own pairs' columns.
     """
-    backend = backend if backend is not None else numpy_backend()
     stats = RotationStats()
     k = len(pair_cols[0])
     require(all(len(c) == k for c in pair_cols),
@@ -797,43 +651,39 @@ def _solve_gram_many(
     cols_arr = np.asarray(pair_cols, dtype=np.intp)
     nb = len(cols_arr)
     m = X.shape[0]
-    Ys = _scratch(executor, "Ys", (nb, k, m))  # Ys[i] = Y_i^T
-    G = _scratch(executor, "G", (nb, k, k))
+    XT = X.T
+    Ys = np.empty((nb, k, m))  # Ys[i] = Y_i^T
+    G = np.empty((nb, k, k))
 
-    chunked = executor is not None and executor.workers > 1
-    form_arrays = {"X": X, "Ys": Ys, "G": G}
-    form_payload = dict(cols=cols_arr, k=k, m=m, backend=backend)
-    if chunked:
-        executor.run_shared(nb, _task_gram_form, form_arrays, **form_payload)
-    else:
-        _task_gram_form(form_arrays, 0, nb, **form_payload)
+    def form(lo: int, hi: int) -> None:
+        Ys[lo:hi] = XT[cols_arr[lo:hi].reshape(-1)].reshape(hi - lo, k, m)
+        G[lo:hi] = np.matmul(Ys[lo:hi], Ys[lo:hi].transpose(0, 2, 1))
+
+    _dispatch(executor, nb, form)
     G, d, floor, worst = _gram_measure(G, cols_arr, k, tol)
     if worst <= tol:
         # already orthogonal: only the norm-ordering convention may act
         _apply_sort_only(X, V, pair_cols, d, sort, stats, sanitizer)
         return stats, worst
     W, rotations, tgt_arr = _gram_factors(G, cols_arr, tol, sort,
-                                          inner_sweeps, floor, backend)
+                                          inner_sweeps, floor)
     stats.applied = rotations
-    n = V.shape[0] if V is not None else 0
-    if chunked:
-        # the rotation factors cross the process boundary as shared
-        # memory too: one small copy instead of per-chunk pickles
-        Wb = _scratch(executor, "W", W.shape)
-        Wb[...] = W
-        W = Wb
-    apply_arrays = {"X": X, "Ys": Ys, "W": W}
-    if V is not None:
-        apply_arrays["V"] = V
-    apply_payload = dict(cols=cols_arr, tgt=tgt_arr, k=k, m=m, n=n,
-                         backend=backend)
-    if chunked:
-        executor.run_shared(nb, _task_gram_apply, apply_arrays,
-                            **apply_payload)
-    else:
-        _task_gram_apply(apply_arrays, 0, nb, **apply_payload)
+    WT = W.transpose(0, 2, 1)
+
+    def apply(lo: int, hi: int) -> None:
+        # a pair's targets are a permutation of its own columns, so
+        # chunks read and write disjoint column sets
+        t = tgt_arr[lo:hi].reshape(-1)
+        X[:, t] = np.matmul(WT[lo:hi], Ys[lo:hi]).reshape(
+            (hi - lo) * k, m).T  # (Y_i W_i)^T
+        if V is not None:
+            n = V.shape[0]
+            Vs = V.T[cols_arr[lo:hi].reshape(-1)].reshape(hi - lo, k, n)
+            V[:, t] = np.matmul(WT[lo:hi], Vs).reshape((hi - lo) * k, n).T
+
+    _dispatch(executor, nb, apply)
     if sanitizer is not None:
-        for lo, hi in _phase_bounds(executor, nb, chunked):
+        for lo, hi in _dispatch_bounds(executor, nb):
             sanitizer.record_touch(lo, hi, tgt_arr[lo:hi].reshape(-1))
     return stats, worst
 
@@ -848,7 +698,6 @@ def solve_block_step_batch(
     inner_sweeps: int,
     kernel: str = "gram",
     executor=None,
-    compute_backend: "str | ComputeBackend | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve one schedule step for *many problem matrices* at once.
 
@@ -878,52 +727,31 @@ def solve_block_step_batch(
     per-pair fallback chain a solo run would.
     """
     require(sort in _SORT_MODES, f"sort must be one of {_SORT_MODES}, got {sort!r}")
-    require(kernel in BLOCK_KERNELS,
-            f"unknown block kernel {kernel!r}; "
-            f"available: {', '.join(BLOCK_KERNELS)}")
+    _require_kernel(kernel)
     items = np.asarray(items, dtype=np.intp)
     if items.size == 0 or len(pair_cols) == 0:
         return np.zeros(items.size, dtype=np.intp), np.zeros(items.size)
-    backend = resolve_compute_backend(compute_backend)
 
-    arrays = {"Xs": Xs}
-    if Vs is not None:
-        arrays["Vs"] = Vs
-    payload = dict(items=items, cols=pair_cols, tol=tol, sort=sort,
-                   inner_sweeps=inner_sweeps, kernel=kernel, backend=backend)
-    if executor is None or executor.workers == 1 or items.size == 1:
-        return _task_batch_items(arrays, 0, items.size, **payload)
-    applied = np.empty(items.size, dtype=np.intp)
-    worst = np.empty(items.size)
-    pos = 0
-    for ap, wo in executor.run_shared(items.size, _task_batch_items,
-                                      arrays, **payload):
-        applied[pos:pos + len(ap)] = ap
-        worst[pos:pos + len(wo)] = wo
-        pos += len(ap)
-    return applied, worst
+    def solve_items(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        sub = items[lo:hi]
+        if kernel == "gram":
+            return _solve_gram_batch(Xs, Vs, sub, pair_cols, tol, sort,
+                                     inner_sweeps)
+        applied = np.zeros(sub.size, dtype=np.intp)
+        worst = np.zeros(sub.size)
+        for j, i in enumerate(sub):
+            st, mx = _solve_step_body(
+                Xs[i], None if Vs is None else Vs[i], pair_cols, tol, sort,
+                inner_sweeps, kernel)
+            applied[j] = st.applied
+            worst[j] = mx
+        return applied, worst
 
-
-def _task_batch_items(
-    arrays: dict, lo: int, hi: int, *, items, cols, tol, sort,
-    inner_sweeps, kernel, backend,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Chunk task of the batch path: solve batch items ``[lo, hi)``."""
-    Xs = arrays["Xs"]
-    Vs = arrays.get("Vs")
-    sub = items[lo:hi]
-    if kernel == "gram":
-        return _solve_gram_batch(Xs, Vs, sub, cols, tol, sort,
-                                 inner_sweeps, backend)
-    applied = np.zeros(hi - lo, dtype=np.intp)
-    worst = np.zeros(hi - lo)
-    for j, i in enumerate(sub):
-        st, mx = _solve_step_body(
-            Xs[i], None if Vs is None else Vs[i], cols, tol, sort,
-            inner_sweeps, kernel, None, None, backend)
-        applied[j] = st.applied
-        worst[j] = mx
-    return applied, worst
+    out = _dispatch(executor, items.size, solve_items)
+    if len(out) == 1:
+        return out[0]
+    return (np.concatenate([ap for ap, _ in out]),
+            np.concatenate([wo for _, wo in out]))
 
 
 def _expand_groups(pos: np.ndarray, nb: int) -> np.ndarray:
@@ -972,14 +800,12 @@ def _solve_gram_batch(
     tol: float,
     sort: str | None,
     inner_sweeps: int,
-    backend: ComputeBackend | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The gram kernel's problem-axis super-batch (see
     :func:`solve_block_step_batch`): :func:`_solve_gram_many` with the
     batch dimension extended from ``n_pairs`` to ``B x n_pairs`` and
     every per-matrix decision (sort-only early exit, inner-Jacobi
     convergence, breakdown delegation) taken per problem."""
-    backend = backend if backend is not None else numpy_backend()
     nm = items.size
     k = len(pair_cols[0])
     require(all(len(c) == k for c in pair_cols),
@@ -993,7 +819,7 @@ def _solve_gram_batch(
 
     XsT = Xs.transpose(0, 2, 1)  # (B, n, m) view of the column stacks
     Ys = XsT[np.ix_(items, allcols)].reshape(nm * nb, k, m)
-    G = backend.gram(Ys)
+    G = np.matmul(Ys, Ys.transpose(0, 2, 1))
 
     def delegate(j: int) -> None:
         # the solo path re-forms this item's Gram blocks from its still
@@ -1001,7 +827,7 @@ def _solve_gram_batch(
         # fallback chain — bit-identical to a standalone run
         st, mx = _solve_step_body(
             Xs[items[j]], None if Vs is None else Vs[items[j]], pair_cols,
-            tol, sort, inner_sweeps, "gram", None, None, backend)
+            tol, sort, inner_sweeps, "gram")
         applied[j] = st.applied
         worst_out[j] = mx
 
@@ -1039,8 +865,7 @@ def _solve_gram_batch(
     sel_sv = _expand_groups(sv_local, nb)
     Gs = G[sel_sv]
     Ws, rots, _, _ = gram_eigh_grouped(Gs, tol=tol, max_sweeps=inner_sweeps,
-                                       floor=floor[sel_sv], group_size=nb,
-                                       backend=backend)
+                                       floor=floor[sel_sv], group_size=nb)
     wfin = np.isfinite(Ws).reshape(sv_local.size, -1).all(axis=1)
     for j_local in np.flatnonzero(~wfin):
         delegate(int(keep[sv_local[j_local]]))
@@ -1061,13 +886,14 @@ def _solve_gram_batch(
     else:
         tgt_flat = allcols
     rows = items[keep[sv_local[ok_local]]]
-    out = backend.apply_wt(W_ok, Ys_ok)  # (Y_i W_i)^T per pair
+    WT_ok = W_ok.transpose(0, 2, 1)
+    out = np.matmul(WT_ok, Ys_ok)  # (Y_i W_i)^T per pair
     XsT[np.ix_(rows, tgt_flat)] = out.reshape(rows.size, nb * k, m)
     if Vs is not None:
         n = Vs.shape[2]
         VsT = Vs.transpose(0, 2, 1)
         Vg = VsT[np.ix_(rows, allcols)].reshape(rows.size * nb, k, n)
-        vout = backend.apply_wt(W_ok, Vg)
+        vout = np.matmul(WT_ok, Vg)
         VsT[np.ix_(rows, tgt_flat)] = vout.reshape(rows.size, nb * k, n)
     applied[keep[sv_local[ok_local]]] = rots[ok_local]
     return applied, worst_out

@@ -11,9 +11,9 @@ Subcommands
                                  run one decomposition and report telemetry
 ``lint [--ordering O ...] [--n N ...] [--topology T] [--json]``
                                  statically verify schedules (exit 1 on findings)
-``analyze [--ordering O ...] [--n N ...] [--workers W ...] [--quick] [--json]``
+``analyze [--ordering O ...] [--n N ...] [--quick] [--json]``
                                  statically verify the execution layer: compiled
-                                 plans, executor chunkings, fault-tolerance
+                                 plans, fast-path write-sets, fault-tolerance
                                  totality (exit 1 on findings)
 ``bench [--tag T] [--compare OLD.json] [--quick] [--json]``
                                  run the timing harness, write BENCH_<tag>.json
@@ -21,11 +21,9 @@ Subcommands
 ``faults [--quick] [--json]``    run the registered chaos campaign and print
                                  the survival matrix (exit 1 on any casualty)
 ``tune --m M --n N [--batch B] [--quick] [--dry-run] [--check]``
-                                 search (kernel, ordering, block size,
-                                 executor, workers, compute backend) for the
-                                 shape and persist the winner as a tuned
+                                 search (kernel, ordering, block size) for
+                                 the shape and persist the winner as a tuned
                                  profile (PROFILE_<host>.json)
-``backends [--json]``            list executor / compute-backend probe status
 """
 
 from __future__ import annotations
@@ -73,26 +71,20 @@ def build_parser() -> argparse.ArgumentParser:
                           "throughput; incompatible with --fault")
     run.add_argument("--kernel", default=None,
                      choices=["reference", "batched", "gram"],
-                     help="rotation kernel (batched = fused fast path; "
-                          "gram = BLAS-3 block kernel, needs --block-size)")
+                     help="rotation kernel (batched = fused scalar fast "
+                          "path, scalar mode only; gram = BLAS-3 block "
+                          "kernel, needs --block-size)")
     run.add_argument("--block-size", type=int, default=None, metavar="B",
                      help="run at block granularity with B columns per "
                           "schedule unit (default: scalar, 1 column)")
     run.add_argument("--executor", default=None,
-                     choices=["serial", "threads", "processes"],
-                     help="block step-execution backend (threads/processes "
-                          "split each step's pair subproblems across "
-                          "workers, bit-identical to serial; processes work "
-                          "on shared-memory views; needs --block-size)")
+                     choices=["serial", "threads"],
+                     help="block step-execution backend (threads split "
+                          "each step's pair subproblems across workers, "
+                          "bit-identical to serial; needs --block-size)")
     run.add_argument("--workers", type=int, default=None, metavar="W",
-                     help="workers of --executor threads/processes "
+                     help="workers of --executor threads "
                           "(default: $REPRO_WORKERS or the CPU count)")
-    run.add_argument("--compute-backend", default=None,
-                     choices=["numpy", "einsum", "numba", "cupy"],
-                     help="batched-GEMM backend of the block kernels "
-                          "(einsum is bit-identical to numpy; numba/cupy "
-                          "are optional and fall back to numpy when "
-                          "unavailable; needs --block-size)")
     run.add_argument("--sanitize", action="store_true",
                      help="arm the runtime sanitizer (write-set records + "
                           "sweep-boundary numeric canaries; needs "
@@ -136,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser(
         "analyze",
         help="statically verify the execution layer: compiled-plan "
-             "integrity, executor chunking races/determinism, and "
-             "fault-tolerance totality for every registered ordering",
+             "integrity, fast-path write-sets, and fault-tolerance "
+             "totality for every registered ordering",
     )
     analyze.add_argument("--ordering", action="append", default=None,
                          metavar="NAME", dest="orderings",
@@ -147,15 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N", dest="sizes",
                          help="problem size to analyze at (repeatable; "
                               "default: 8 16 32)")
-    analyze.add_argument("--workers", action="append", type=int, default=None,
-                         metavar="W", dest="workers",
-                         help="executor worker count to prove the chunking "
-                              "for (repeatable; default: 1 2 4)")
     analyze.add_argument("--topology", default="perfect",
                          help="machine for the fault-tolerance totality "
                               "pass (default: perfect; 'none' disables it)")
     analyze.add_argument("--quick", action="store_true",
-                         help="CI smoke matrix: n=8, workers 1 2")
+                         help="CI smoke matrix: n=8")
     analyze.add_argument("--json", action="store_true",
                          help="emit a machine-readable JSON report")
 
@@ -197,9 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     tune = sub.add_parser(
         "tune",
-        help="search kernel x ordering x block size x executor x workers "
-             "x compute backend for one shape and persist the winner as "
-             "a tuned profile (PROFILE_<host>.json)",
+        help="search kernel x ordering x block size for one shape and "
+             "persist the winner as a tuned profile (PROFILE_<host>.json)",
     )
     tune.add_argument("--m", type=int, default=96)
     tune.add_argument("--n", type=int, default=64)
@@ -210,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="one candidate per axis and a short repeat "
                            "schedule (CI smoke mode)")
     tune.add_argument("--dry-run", action="store_true",
-                      help="print the candidate space (availability-"
-                           "filtered) without timing anything")
+                      help="print the candidate space without timing "
+                           "anything")
     tune.add_argument("--out", default=".", metavar="DIR",
                       help="directory the profile is written to")
     tune.add_argument("--host", default=None, metavar="TAG",
@@ -227,14 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default 1.0: strictly no slower)")
     tune.add_argument("--json", action="store_true",
                       help="emit the tune result as JSON")
-
-    backends = sub.add_parser(
-        "backends",
-        help="list the step-executor and compute-backend probe status of "
-             "this host (what tune's availability filter consumes)",
-    )
-    backends.add_argument("--json", action="store_true",
-                          help="emit the catalogue as JSON")
     return p
 
 
@@ -321,8 +300,8 @@ def _bench(args: argparse.Namespace) -> int:
             return 2
         scens = [by_name[n] for n in args.scenarios]
 
-    # pin the BLAS pool so executor speedups are attributable to the
-    # step executor, not to OpenBLAS's own threading
+    # pin the BLAS pool so timings do not depend on OpenBLAS's own
+    # threading
     pinned = pin_blas_threads(1)
     blas_threads = 1 if pinned is not None else None
     if not args.json and blas_threads is None:
@@ -373,8 +352,7 @@ def _tune(args: argparse.Namespace) -> int:
     import json
 
     from repro.bench import pin_blas_threads
-    from repro.tune import (backend_catalogue, candidate_space, profile_path,
-                            save_profile, tune)
+    from repro.tune import candidate_space, profile_path, save_profile, tune
 
     if args.m < 2 or args.n < 2 or args.m < args.n:
         print("need --m >= --n >= 2")
@@ -386,14 +364,13 @@ def _tune(args: argparse.Namespace) -> int:
         print("--slack must be a positive ratio")
         return 2
 
-    catalogue = backend_catalogue()
     candidates = candidate_space(args.m, args.n, args.batch,
-                                 quick=args.quick, catalogue=catalogue)
+                                 quick=args.quick)
     if args.dry_run:
         if args.json:
             print(json.dumps({
                 "m": args.m, "n": args.n, "batch": args.batch,
-                "quick": args.quick, "catalogue": catalogue,
+                "quick": args.quick,
                 "candidates": [c.options_dict() for c in candidates],
             }, indent=2))
         else:
@@ -448,25 +425,6 @@ def _tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _backends(args: argparse.Namespace) -> int:
-    """The ``backends`` subcommand body (always exit 0: an unavailable
-    optional backend is information, not an error)."""
-    import json
-
-    from repro.tune import backend_catalogue
-
-    catalogue = backend_catalogue()
-    if args.json:
-        print(json.dumps(catalogue, indent=2))
-        return 0
-    for family, status in catalogue.items():
-        print(f"{family}:")
-        for name, reason in status.items():
-            state = "available" if reason is None else f"unavailable: {reason}"
-            print(f"  {name:<10} {state}")
-    return 0
-
-
 def _svd(args: argparse.Namespace) -> int:
     """The ``svd`` subcommand body; returns a process exit code (0 ok,
     1 non-converged result, 2 usage error)."""
@@ -485,8 +443,8 @@ def _svd(args: argparse.Namespace) -> int:
     if args.workers is not None and args.block_size is None:
         print("--workers applies to block mode; pass --block-size B")
         return 2
-    if args.compute_backend is not None and args.block_size is None:
-        print("--compute-backend applies to block mode; pass --block-size B")
+    if args.kernel == "batched" and args.block_size is not None:
+        print("--kernel batched is a scalar kernel; drop --block-size")
         return 2
     if args.max_sweeps is not None and args.max_sweeps < 1:
         print("--max-sweeps must be >= 1")
@@ -547,7 +505,6 @@ def _svd(args: argparse.Namespace) -> int:
             batch = svd_batch(stack, ordering=args.ordering,
                               kernel=args.kernel, block_size=args.block_size,
                               executor=args.executor, workers=args.workers,
-                              compute_backend=args.compute_backend,
                               options=options)
         print(f"batch of {len(batch)}: {batch.summary()}")
         print(f"elapsed={batch.elapsed_s:.3f}s "
@@ -574,8 +531,7 @@ def _svd(args: argparse.Namespace) -> int:
 
             r = svd(a, ordering=args.ordering, kernel=args.kernel,
                     block_size=args.block_size, executor=args.executor,
-                    workers=args.workers,
-                    compute_backend=args.compute_backend, options=options)
+                    workers=args.workers, options=options)
             print(f"converged={r.converged} sweeps={r.sweeps} "
                   f"rotations={r.rotations} sorted={r.emerged_sorted}")
         else:
@@ -586,7 +542,6 @@ def _svd(args: argparse.Namespace) -> int:
                                   block_size=args.block_size,
                                   executor=args.executor,
                                   workers=args.workers,
-                                  compute_backend=args.compute_backend,
                                   options=options, fault_plan=plan)
             print(f"converged={r.converged} sweeps={r.sweeps}")
             print(f"total={rep.total_time:.0f} compute={rep.compute_time:.0f} "
@@ -716,7 +671,7 @@ def main(argv: list[str] | None = None) -> int:
 
         from repro.machine.topology import TOPOLOGIES
         from repro.orderings import ordering_names
-        from repro.verify import ANALYZE_WORKERS, DEFAULT_SIZES, analyze_registry
+        from repro.verify import DEFAULT_SIZES, analyze_registry
 
         topology = None if args.topology == "none" else args.topology
         if topology is not None and topology not in TOPOLOGIES:
@@ -728,14 +683,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"unknown ordering(s) {sorted(unknown)}; "
                   f"available: {', '.join(ordering_names())}")
             return 2
-        if args.workers and any(w < 1 for w in args.workers):
-            print("--workers must be >= 1")
-            return 2
         reports = analyze_registry(
             names=args.orderings,
             sizes=tuple(args.sizes) if args.sizes else DEFAULT_SIZES,
             topology=topology,
-            workers=tuple(args.workers) if args.workers else ANALYZE_WORKERS,
             quick=args.quick,
         )
         ok = all(r.ok for r in reports)
@@ -763,9 +714,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "tune":
         return _tune(args)
-
-    if args.command == "backends":
-        return _backends(args)
 
     if args.command == "svd":
         return _svd(args)

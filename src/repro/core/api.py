@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
+import warnings
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ from ..parallel.distribution import pad_columns, strip_padding
 from ..parallel.driver import ParallelJacobiSVD, ParallelRunReport
 from ..svd.hestenes import JacobiOptions, jacobi_svd
 from ..util.bits import is_power_of_two
+from ..util.errors import ConvergenceWarning
 from ..util.validation import (as_float_matrix, as_float_stack, require,
                                require_finite)
 from .result import BatchResult, SVDResult
@@ -53,9 +55,6 @@ def _profile_fill(
     options,
     kernel: str | None,
     block_size: int | None,
-    executor: str | None,
-    workers: int | None,
-    compute_backend: str | None,
 ):
     """Fill unset knobs from a tuned profile; resolve ordering defaults.
 
@@ -64,9 +63,7 @@ def _profile_fill(
     Only knobs the caller left at ``None`` are filled — an explicit
     argument always wins — and the fill is conservative where knobs
     couple: the kernel family (kernel + block size) fills only when the
-    caller set *neither*, and the block-mode-only knobs (executor,
-    workers, compute backend) fill only when the resolved configuration
-    actually is block mode.  An explicit ``options`` object is a
+    caller set *neither*.  An explicit ``options`` object is a
     complete configuration, so the profile then fills nothing but the
     ordering.  The tune import is lazy (``repro.tune`` times this
     module's entry points — a module-level import would be a cycle).
@@ -80,20 +77,12 @@ def _profile_fill(
         if filled:
             if ordering is None:
                 ordering = filled["ordering"]
-            if options is None:
-                if kernel is None and block_size is None:
-                    kernel = filled["kernel"]
-                    block_size = filled["block_size"]
-                if block_size is not None:
-                    if executor is None:
-                        executor = filled["executor"]
-                    if workers is None:
-                        workers = filled["workers"]
-                    if compute_backend is None:
-                        compute_backend = filled["compute_backend"]
+            if options is None and kernel is None and block_size is None:
+                kernel = filled["kernel"]
+                block_size = filled["block_size"]
     if ordering is None:
         ordering = default_ordering
-    return ordering, kernel, block_size, executor, workers, compute_backend
+    return ordering, kernel, block_size
 
 
 def _with_kernel(
@@ -110,17 +99,15 @@ def _block_options(
     block_size: int | None,
     executor: str | None = None,
     workers: int | None = None,
-    compute_backend: str | None = None,
 ) -> BlockJacobiOptions | None:
     """Resolve the block-mode options, or ``None`` for scalar mode.
 
     Block mode is requested by ``block_size`` or by passing a
     :class:`BlockJacobiOptions` directly; scalar ``JacobiOptions`` carry
-    their shared knobs (tol, max_sweeps, sort, compute_backend) over.  A
-    block-only kernel (``"gram"``) without a block size is a usage
-    error, as is an explicit step executor or compute backend (the
-    scalar kernels have no independent pair subproblems to hand to
-    workers and no GEMM phase to retarget).
+    their shared knobs (tol, max_sweeps, sort) over.  A block-only
+    kernel (``"gram"``) without a block size is a usage error, as is an
+    explicit step executor (the scalar kernels have no independent pair
+    subproblems to hand to workers).
     """
     if block_size is None and not isinstance(options, BlockJacobiOptions):
         require(kernel != "gram",
@@ -130,9 +117,6 @@ def _block_options(
                 "pass block_size=...")
         require(workers is None,
                 "workers= applies to block mode only; pass block_size=...")
-        require(compute_backend is None,
-                f"compute_backend={compute_backend!r} applies to block "
-                "mode only; pass block_size=...")
         return None
     if isinstance(options, BlockJacobiOptions):
         base = options
@@ -142,8 +126,7 @@ def _block_options(
         shared = {}
         if options is not None:
             shared = {"tol": options.tol, "max_sweeps": options.max_sweeps,
-                      "sort": options.sort,
-                      "compute_backend": options.compute_backend}
+                      "sort": options.sort}
         base = BlockJacobiOptions(block_size=block_size, **shared)
     if kernel is not None:
         require(kernel in BLOCK_KERNELS,
@@ -154,9 +137,24 @@ def _block_options(
         base = dataclasses.replace(base, executor=executor)
     if workers is not None:
         base = dataclasses.replace(base, workers=workers)
-    if compute_backend is not None:
-        base = dataclasses.replace(base, compute_backend=compute_backend)
     return base
+
+
+def _flag_nonfinite(results: list[SVDResult], where: str) -> None:
+    """Output postcondition: a result whose sigma, U or V holds a
+    non-finite entry is never labelled converged (it is flipped to
+    ``converged=False`` with a :class:`ConvergenceWarning`)."""
+    bad = [i for i, r in enumerate(results) if r.converged and not all(
+        np.isfinite(x).all() for x in (r.sigma, r.u, r.v))]
+    for i in bad:
+        results[i].converged = False
+    if bad:
+        what = (f"{len(bad)} of {len(results)} results (first: item "
+                f"{bad[0]})" if len(results) > 1 else "the result")
+        warnings.warn(
+            f"{where}: {what} holds non-finite entries in sigma, U or V "
+            "(over- or underflow); reported as not converged",
+            ConvergenceWarning, stacklevel=3)
 
 
 def svd(
@@ -167,7 +165,6 @@ def svd(
     block_size: int | None = None,
     executor: str | None = None,
     workers: int | None = None,
-    compute_backend: str | None = None,
     fault_plan: "FaultPlan | None" = None,
     profile: "str | Mapping | None" = None,
     **ordering_kwargs: object,
@@ -184,16 +181,14 @@ def svd(
 
     ``block_size=b`` switches to the block Jacobi driver: the ordering
     runs on ``b``-column blocks and the local subproblems are solved by
-    a block kernel (``"gram"``, ``"batched"`` or ``"reference"``; the
-    BLAS-3 gram kernel by default).  Admissibility and padding are then
-    decided at block granularity.
+    a block kernel (``"gram"`` or ``"reference"``; the BLAS-3 gram
+    kernel by default).  Admissibility and padding are then decided at
+    block granularity.
 
     ``executor``/``workers`` pick the step-execution backend of block
-    mode (``"serial"``, ``"threads"`` or ``"processes"``; workers split
-    each step's independent pair subproblems, bit-identical to serial —
-    processes work on shared-memory views of the column buffer) — see
-    :mod:`repro.parallel.executor`.  ``compute_backend`` retargets the
-    block kernels' batched GEMM phases (:mod:`repro.kernels`).
+    mode (``"serial"`` or ``"threads"``; workers split each step's
+    independent pair subproblems, bit-identical to serial) — see
+    :mod:`repro.parallel.executor`.
 
     ``fault_plan`` (a :class:`~repro.faults.FaultPlan`) runs the
     decomposition on the simulated tree machine under fault injection
@@ -205,23 +200,38 @@ def svd(
     tuned entry of a ``repro-harness tune`` profile — explicit
     arguments always win, and with no profile the ordering defaults to
     the paper's ``"fat_tree"``.
+
+    A result whose sigma, U or V holds a non-finite entry (e.g. from an
+    input near the overflow threshold) is reported with
+    ``converged=False`` and a :class:`ConvergenceWarning`.
     """
     a = as_float_matrix(a, "a")
-    (ordering, kernel, block_size, executor, workers,
-     compute_backend) = _profile_fill(
+    ordering, kernel, block_size = _profile_fill(
         profile, a.shape[0], a.shape[1], None, "fat_tree", ordering,
-        options, kernel, block_size, executor, workers, compute_backend)
+        options, kernel, block_size)
     if fault_plan is not None:
         # fault injection lives in the machine layer; run there and
         # return just the decomposition
         result, _ = parallel_svd(
             a, topology="perfect", ordering=ordering, options=options,
             kernel=kernel, block_size=block_size, executor=executor,
-            workers=workers, compute_backend=compute_backend,
-            fault_plan=fault_plan, **ordering_kwargs)
+            workers=workers, fault_plan=fault_plan, **ordering_kwargs)
         return result
-    bopts = _block_options(options, kernel, block_size, executor, workers,
-                           compute_backend)
+    bopts = _block_options(options, kernel, block_size, executor, workers)
+    result = _svd(a, ordering, options, kernel, bopts, ordering_kwargs)
+    _flag_nonfinite([result], "svd")
+    return result
+
+
+def _svd(
+    a: np.ndarray,
+    ordering: "str | Ordering",
+    options: JacobiOptions | BlockJacobiOptions | None,
+    kernel: str | None,
+    bopts: BlockJacobiOptions | None,
+    ordering_kwargs: dict,
+) -> SVDResult:
+    """The decomposition behind :func:`svd` (knobs resolved)."""
     n = a.shape[1]
     pow2 = _needs_power_of_two(ordering)
     if bopts is not None:
@@ -258,7 +268,6 @@ def parallel_svd(
     block_size: int | None = None,
     executor: str | None = None,
     workers: int | None = None,
-    compute_backend: str | None = None,
     fault_plan: "FaultPlan | None" = None,
     profile: "str | Mapping | None" = None,
     **ordering_kwargs: object,
@@ -268,9 +277,8 @@ def parallel_svd(
     ``block_size=b`` runs the machine at block granularity: ``n / b``
     schedule units, ``b``-column messages, block kernels on the leaves
     (the BLAS-3 gram kernel by default).  ``executor``/``workers``
-    choose the block step-execution backend (``"serial"``, ``"threads"``
-    or ``"processes"``, bit-identical) and ``compute_backend`` the GEMM
-    backend — see :mod:`repro.parallel.executor` / :mod:`repro.kernels`.
+    choose the block step-execution backend (``"serial"`` or
+    ``"threads"``, bit-identical) — see :mod:`repro.parallel.executor`.
 
     ``fault_plan`` (a :class:`~repro.faults.FaultPlan`) injects the
     planned faults during the run; the machine recovers via the ack/seq
@@ -281,15 +289,14 @@ def parallel_svd(
 
     ``profile`` / ``$REPRO_PROFILE`` fill unset knobs from a tuned
     profile exactly as in :func:`svd`; the ordering default here is the
-    machine-level ``"hybrid"``.
+    machine-level ``"hybrid"``.  The non-finite output postcondition of
+    :func:`svd` applies here too.
     """
     a = as_float_matrix(a, "a")
-    (ordering, kernel, block_size, executor, workers,
-     compute_backend) = _profile_fill(
+    ordering, kernel, block_size = _profile_fill(
         profile, a.shape[0], a.shape[1], None, "hybrid", ordering,
-        options, kernel, block_size, executor, workers, compute_backend)
-    bopts = _block_options(options, kernel, block_size, executor, workers,
-                           compute_backend)
+        options, kernel, block_size)
+    bopts = _block_options(options, kernel, block_size, executor, workers)
     pow2 = _needs_power_of_two(ordering)
     if bopts is not None:
         options = bopts
@@ -308,6 +315,7 @@ def parallel_svd(
     result, report = driver.compute(padded, fault_plan=fault_plan)
     if padded.shape[1] != orig:
         result = strip_padding(result, orig)
+    _flag_nonfinite([result], "parallel_svd")
     return result, report
 
 
@@ -338,7 +346,6 @@ def svd_batch(
     block_size: int | None = None,
     executor: str | None = None,
     workers: int | None = None,
-    compute_backend: str | None = None,
     profile: "str | Mapping | None" = None,
     **ordering_kwargs: object,
 ) -> BatchResult:
@@ -353,16 +360,16 @@ def svd_batch(
 
     The contract is **bit-identity**: ``svd_batch(stack, ...)[i]`` equals
     ``svd(stack[i], ...)`` exactly, for every kernel, ordering and
-    executor.  What the batch changes is amortisation, not arithmetic —
+    executor.
+    What the batch changes is amortisation, not arithmetic —
     in block mode the schedule is compiled once and every step's local
     solves fuse the whole batch into stacked GEMMs, with per-item
     convergence masks dropping finished matrices out of later sweeps
     (:func:`~repro.blockjacobi.driver.block_jacobi_svd_batch`).
-    ``executor="threads"`` / ``"processes"`` chunk *batch items* across
-    workers (processes via shared-memory views of the stack), so
-    throughput scales with cores while the bits stay those of a serial
-    loop.  Scalar mode (no ``block_size``) falls back to a plain loop of
-    :func:`svd`.
+    ``executor="threads"`` chunks *batch items* across workers while the
+    bits stay those of a serial loop.  Scalar mode (no ``block_size``)
+    falls back to a plain loop of :func:`svd`.  The non-finite output
+    postcondition of :func:`svd` applies per item.
 
     A non-finite entry raises ``ValueError`` naming the offending batch
     index and coordinates (``matrices[i] contains ... at index (r, c)``).
@@ -374,18 +381,16 @@ def svd_batch(
     """
     stack = _as_batch_stack(matrices)
     nitems, _, n = stack.shape
-    (ordering, kernel, block_size, executor, workers,
-     compute_backend) = _profile_fill(
+    ordering, kernel, block_size = _profile_fill(
         profile, stack.shape[1], n, nitems, "fat_tree", ordering,
-        options, kernel, block_size, executor, workers, compute_backend)
+        options, kernel, block_size)
     # vectorised finiteness sweep; on failure re-check the first bad item
     # so the error names the batch index and in-matrix coordinates
     ok = np.isfinite(stack).reshape(nitems, -1).all(axis=1)
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
         require_finite(stack[i], f"matrices[{i}]")
-    bopts = _block_options(options, kernel, block_size, executor, workers,
-                           compute_backend)
+    bopts = _block_options(options, kernel, block_size, executor, workers)
     pow2 = _needs_power_of_two(ordering)
     before = plan_cache_stats()
     t0 = time.perf_counter()
@@ -410,6 +415,7 @@ def svd_batch(
                                                 options=bopts,
                                                 **ordering_kwargs)
             ]
+        _flag_nonfinite(results, "svd_batch")
     else:
         scalar_opts = _with_kernel(options, kernel)
         results = [

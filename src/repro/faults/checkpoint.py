@@ -59,10 +59,8 @@ def take_checkpoint(machine: "TreeMachine") -> MachineCheckpoint:
 def restore_checkpoint(machine: "TreeMachine", cp: MachineCheckpoint) -> None:
     """Rewind the machine's numerics to ``cp`` (degradation state kept).
 
-    ``X``/``V`` are restored **in place**: when the machine runs under
-    the processes executor they are shared-memory views the worker pool
-    holds by name, so rebinding them to fresh copies would silently
-    detach the rollback from the arrays the workers keep writing.
+    ``X``/``V`` are restored **in place**, so any reference to the
+    machine's buffers taken before the rollback stays current.
     """
     machine.X[...] = cp.X
     if cp.V is not None:

@@ -67,12 +67,10 @@ class TreeMachine:
         # batched kernel's column-as-row working buffer, allocated once
         # per load() and refilled (not reallocated) every sweep
         self._WT: np.ndarray | None = None
-        # step executor for the block-mode local solves (None = serial)
-        self._executor = None
         # runtime sanitizer for the block-mode local solves (None = off)
         self._sanitizer = None
-        # compute backend for the block kernels' GEMM phases (set by load)
-        self._compute_backend = None
+        # step executor for the block-mode local solves (None = serial)
+        self._executor = None
         # fault-mode state: injector + reliable transport, and the
         # degraded host map (logical leaf -> physical leaf)
         self.injector = None
@@ -97,8 +95,7 @@ class TreeMachine:
 
     def load(self, a: np.ndarray, compute_v: bool = True,
              kernel: str = "reference", block_size: int | None = None,
-             inner_sweeps: int = 2, executor=None, sanitizer=None,
-             compute_backend=None) -> None:
+             inner_sweeps: int = 2, executor=None, sanitizer=None) -> None:
         """Distribute the columns of ``a`` over the leaves.
 
         Scalar mode (``block_size=None``): slot ``i`` holds column ``i``,
@@ -108,16 +105,11 @@ class TreeMachine:
         :data:`repro.blockjacobi.BLOCK_KERNELS` (``inner_sweeps`` cyclic
         sweeps per met pair).  ``executor`` (a
         :class:`~repro.parallel.executor.StepExecutor`) runs each step's
-        independent block solves across workers (the machine's ``X``/``V``
-        are adopted into its arena, so the processes backend works on
-        shared-memory views); results are bit-identical to serial, the
-        caller owns (and closes) it — reclaiming ``machine.X``/``machine.V``
-        first if it needs them after close.  ``sanitizer`` (a
+        independent block solves across workers, bit-identical to serial;
+        the caller owns (and closes) it.  ``sanitizer`` (a
         :class:`~repro.verify.sanitize.RuntimeSanitizer`) arms runtime
         write-set records on every block step; the driver owns it and
-        runs the sweep-boundary canaries itself.  ``compute_backend`` (a
-        :class:`~repro.kernels.ComputeBackend` or name) retargets the
-        block kernels' batched GEMM phases.
+        runs the sweep-boundary canaries itself.
         """
         if block_size is None:
             from ..svd.hestenes import KERNELS
@@ -144,23 +136,12 @@ class TreeMachine:
         self.inner_sweeps = inner_sweeps
         require(a.shape[1] == self.n_columns,
                 f"machine holds {self.n_columns} columns, matrix has {a.shape[1]}")
-        X = a.copy()
-        V = np.eye(a.shape[1]) if compute_v else None
-        if executor is not None:
-            X = executor.adopt("X", X)
-            if V is not None:
-                V = executor.adopt("V", V)
-        self.X = X
-        self.V = V
+        self.X = a.copy()
+        self.V = np.eye(a.shape[1]) if compute_v else None
         self.labels = np.arange(self.n_slots, dtype=np.intp)
         self.kernel = kernel
-        self._executor = executor
         self._sanitizer = sanitizer
-        from ..kernels import resolve_compute_backend
-
-        self._compute_backend = resolve_compute_backend(compute_backend)
-        if executor is not None and sanitizer is not None:
-            executor.sanitizer = sanitizer
+        self._executor = executor
         self._WT = None
         if block_size is not None:
             self.block_cols = np.arange(
@@ -616,8 +597,7 @@ class TreeMachine:
                     try:
                         st, mx = fastpath_gram_step(
                             XT, VT, row_of_col, pair_cols, tol, sort,
-                            self.inner_sweeps, self._compute_backend,
-                            scratch=scratch)
+                            self.inner_sweeps, scratch=scratch)
                     except NumericalBreakdown:
                         # materialise and delegate the poisoned step to
                         # the event solver: same per-pair fallback chain
@@ -628,8 +608,7 @@ class TreeMachine:
                             V[:] = VT[row_of_col].T
                         st, mx = solve_block_step(
                             X, V, pair_cols, tol, sort, self.inner_sweeps,
-                            self.kernel, executor=self._executor,
-                            compute_backend=self._compute_backend)
+                            self.kernel)
                         XT[:] = X.T
                         if VT is not None:
                             VT[:] = V.T
@@ -637,8 +616,7 @@ class TreeMachine:
                 else:
                     st, mx = solve_block_step(
                         X, V, pair_cols, tol, sort, self.inner_sweeps,
-                        self.kernel, executor=self._executor,
-                        compute_backend=self._compute_backend)
+                        self.kernel)
                 rstats.merge(st)
                 worst = max(worst, mx)
                 rotations = cs.n_pairs
@@ -701,9 +679,8 @@ class TreeMachine:
                 pair_cols = block_cols[cs.pairs].reshape(cs.n_pairs, 2 * b)
                 st, mx = solve_block_step(X, V, pair_cols, tol, sort,
                                           self.inner_sweeps, self.kernel,
-                                          executor=self._executor,
                                           sanitizer=self._sanitizer,
-                                          compute_backend=self._compute_backend)
+                                          executor=self._executor)
                 rstats.merge(st)
                 worst = max(worst, mx)
                 # block granularity: one "rotation" per met block pair

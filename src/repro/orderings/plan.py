@@ -1,6 +1,6 @@
 """Compiled schedule plans: one-time lowering of a :class:`Schedule`.
 
-Every executor of a schedule — the serial drivers, the tree-machine
+Every consumer of a schedule — the serial drivers, the tree-machine
 simulator, the static verifier, the fault campaign — used to re-derive
 the same per-step index arrays (``np.fromiter`` over ``step.pairs`` /
 ``step.moves``) on every sweep of every run.  A
@@ -19,10 +19,6 @@ the same ordering at the same size — the common case: every
 cache is observable (:func:`plan_cache_stats`) and resettable
 (:func:`clear_plan_cache`); hits and misses are counted so the
 "lowering happens once" property is testable rather than folklore.
-
-Plans are immutable and therefore safe to share across threads: the
-step executor backends (:mod:`repro.parallel.executor`) read the same
-plan from every worker.
 """
 
 from __future__ import annotations

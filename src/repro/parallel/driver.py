@@ -170,8 +170,7 @@ class ParallelJacobiSVD:
             machine.load(a, compute_v=compute_uv, kernel=opts.kernel,
                          block_size=opts.block_size,
                          inner_sweeps=opts.inner_sweeps,
-                         executor=executor, sanitizer=sanitizer,
-                         compute_backend=opts.make_compute_backend())
+                         executor=executor, sanitizer=sanitizer)
         else:
             machine.load(a, compute_v=compute_uv, kernel=opts.kernel)
         if sanitizer is not None:
@@ -182,17 +181,13 @@ class ParallelJacobiSVD:
                 sanitizer)
         finally:
             if executor is not None:
-                # shared-memory views die with the arena; copy the
-                # machine's state out so callers can keep reading it
-                machine.X = executor.reclaim(machine.X)
-                if machine.V is not None:
-                    machine.V = executor.reclaim(machine.V)
                 executor.close()
 
     def _compute_loaded(
         self, a, machine, ordering, opts, block, compute_uv, fault_plan,
         sanitizer=None,
     ) -> tuple[SVDResult, ParallelRunReport]:
+        """The sweep loop of :meth:`compute` on a loaded machine."""
         m, n = a.shape
         injector = None
         watchdog = None

@@ -69,13 +69,6 @@ class JacobiOptions:
         ``"batched"`` (fused 2x2 batch transforms over stacked ``[X; V]``
         with a cross-sweep column-norm cache — same results to rounding,
         measurably faster; see ``repro.bench``).
-    ``compute_backend``
-        Batched-GEMM backend (:mod:`repro.kernels`) used when this
-        options object drives a *block-mode* run (``parallel_svd`` with
-        ``block_size > 1`` carries it into
-        :class:`~repro.blockjacobi.driver.BlockJacobiOptions`); the
-        scalar kernels here have no GEMM phase and ignore it.  ``None``
-        resolves from ``$REPRO_COMPUTE_BACKEND`` (default numpy).
     """
 
     tol: float = 1e-12
@@ -84,15 +77,6 @@ class JacobiOptions:
     rank_tol: float = 1e-12
     threshold_strategy: "ThresholdStrategy | None" = None
     kernel: str = "reference"
-    compute_backend: str | None = None
-
-    def __post_init__(self) -> None:
-        from ..kernels import COMPUTE_BACKENDS
-
-        require(self.compute_backend is None
-                or self.compute_backend in COMPUTE_BACKENDS,
-                f"unknown compute backend {self.compute_backend!r}; "
-                f"registered: {', '.join(COMPUTE_BACKENDS)}")
 
 
 def _resolve_ordering(ordering: str | Ordering, n: int, **kwargs: object) -> Ordering:

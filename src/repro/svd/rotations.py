@@ -69,7 +69,7 @@ class RotationStats:
     exchanged to respect the norm ordering.  The paper's termination rule
     needs ``exchanged`` ("... and no columns are interchanged").
     ``fallbacks`` counts block pairs re-solved down the kernel fallback
-    chain (gram -> batched -> reference) after a numerical breakdown.
+    chain (gram -> reference) after a numerical breakdown.
     """
 
     applied: int = 0

@@ -28,7 +28,6 @@ from typing import Mapping
 
 from ..util.validation import require
 from .runner import TuneResult
-from .space import Candidate
 
 __all__ = [
     "SCHEMA",
@@ -43,11 +42,10 @@ __all__ = [
 ]
 
 #: profile schema tag; bump on any change of meaning, not just of shape
-SCHEMA = "repro.tune/1"
+SCHEMA = "repro.tune/2"
 
-#: the six knobs a profile entry may fill (the knobs of ``svd()``)
-_OPTION_KEYS = ("ordering", "kernel", "block_size", "executor", "workers",
-                "compute_backend")
+#: the three knobs a profile entry may fill (the knobs of ``svd()``)
+_OPTION_KEYS = ("ordering", "kernel", "block_size")
 
 
 def default_host() -> str:
@@ -184,7 +182,7 @@ def lookup_entry(profile: "Mapping | str | Path", m: int, n: int,
 
 def profile_options(profile: "Mapping | str | Path", m: int, n: int,
                     batch: int | None = None) -> dict:
-    """The six option knobs of the nearest entry (empty dict if none).
+    """The three option knobs of the nearest entry (empty dict if none).
 
     The result always carries every key of ``svd()``'s knob set with
     explicit ``None`` for unset ones — callers fill, they never guess.
@@ -192,13 +190,4 @@ def profile_options(profile: "Mapping | str | Path", m: int, n: int,
     entry = lookup_entry(profile, m, n, batch)
     if entry is None:
         return {}
-    options = {key: entry["options"].get(key) for key in _OPTION_KEYS}
-    # round-trip guard: a hand-edited profile with an inconsistent
-    # scalar entry (executor without block size) fails Candidate's
-    # invariant here, at load time, instead of deep in the driver
-    Candidate(kernel=options["kernel"] or "reference",
-              block_size=options["block_size"],
-              ordering=options["ordering"] or "fat_tree",
-              executor=options["executor"], workers=options["workers"],
-              compute_backend=options["compute_backend"])
-    return options
+    return {key: entry["options"].get(key) for key in _OPTION_KEYS}

@@ -20,9 +20,8 @@ detector or sanitizer gates a parallel runtime:
   restoration (``SWEEP001``-``SWEEP003``);
 * :mod:`repro.verify.linter` — orchestration over schedules, orderings
   and the whole registry (the ``repro-harness lint`` gate);
-* :mod:`repro.verify.executor_plan` — static race/determinism analysis
-  of executor chunkings, including the process executor's shared-memory
-  projection (``EXEC001``-``EXEC005``);
+* :mod:`repro.verify.fastpathcheck` — the simulator fast path's
+  write-set projection (``EXEC006``);
 * :mod:`repro.verify.plancheck` — compiled-plan re-elaboration and
   plan-cache integrity (``PLAN001``-``PLAN003``);
 * :mod:`repro.verify.faultcheck` — fault-tolerance totality: every
@@ -48,7 +47,6 @@ Quick use::
 """
 
 from .analyze import (
-    ANALYZE_WORKERS,
     analyze_ordering,
     analyze_registry,
     analyze_schedule,
@@ -60,14 +58,9 @@ from .corrupt import (
     drift_factor,
     drop_exchange,
     duplicate_pair,
-    overlap_chunk_writes,
-    overlap_shared_ranges,
     overload_link,
     poison_factor,
     reverse_ring_step,
-    shuffle_chunk_bounds,
-    skew_chunk_bounds,
-    split_unsplittable_stage,
     stale_plan_memo,
     stray_column_touch,
     tamper_final_layout,
@@ -82,18 +75,7 @@ from .direction import (
     check_deadlock_free,
     ring_direction_violations,
 )
-from .executor_plan import (
-    SKEW_THRESHOLD,
-    SharedStagePlan,
-    StagePlan,
-    check_executor_plan,
-    check_fastpath_projection,
-    check_shared_memory_plan,
-    check_shared_plan,
-    check_stage_plan,
-    derive_shared_plan,
-    derive_step_chunking,
-)
+from .fastpathcheck import check_fastpath_projection
 from .faultcheck import (
     check_degraded_totality,
     check_fallback_chains,
@@ -117,16 +99,12 @@ from .sweepcheck import (
 )
 
 __all__ = [
-    "ANALYZE_WORKERS",
     "DEFAULT_SIZES",
     "Diagnostic",
     "RULES",
     "Report",
     "RuntimeSanitizer",
-    "SKEW_THRESHOLD",
     "SanitizerError",
-    "SharedStagePlan",
-    "StagePlan",
     "analyze_ordering",
     "analyze_registry",
     "analyze_schedule",
@@ -135,11 +113,8 @@ __all__ = [
     "check_capacity",
     "check_deadlock_free",
     "check_degraded_totality",
-    "check_executor_plan",
     "check_fastpath_projection",
     "check_fallback_chains",
-    "check_shared_memory_plan",
-    "check_shared_plan",
     "check_host_map",
     "check_numeric_canaries",
     "check_ordering_restoration",
@@ -148,13 +123,10 @@ __all__ = [
     "check_plan_cache",
     "check_plan_integrity",
     "check_restoration",
-    "check_stage_plan",
     "check_step_races",
     "check_write_record",
     "crosscheck_dynamic",
     "dead_host_map",
-    "derive_shared_plan",
-    "derive_step_chunking",
     "drift_factor",
     "drop_exchange",
     "duplicate_pair",
@@ -162,8 +134,6 @@ __all__ = [
     "lint_ordering",
     "lint_registry",
     "lint_schedule",
-    "overlap_chunk_writes",
-    "overlap_shared_ranges",
     "overload_link",
     "permutation_order",
     "poison_factor",
@@ -171,9 +141,6 @@ __all__ = [
     "ring_direction_violations",
     "rule_description",
     "sanitize_enabled",
-    "shuffle_chunk_bounds",
-    "skew_chunk_bounds",
-    "split_unsplittable_stage",
     "stale_plan_memo",
     "static_level_contention",
     "stray_column_touch",

@@ -1,4 +1,4 @@
-"""Execution-layer analysis gate: orchestrate the ``EXEC``/``PLAN``/
+"""Execution-layer analysis gate: orchestrate the ``PLAN``/``EXEC``/
 ``FT`` passes over schedules, orderings and the whole registry.
 
 :func:`~repro.verify.linter.lint_registry` proves the *schedules* sound
@@ -8,14 +8,10 @@ sound for those schedules.  For every registered ordering x size it
 
 * re-elaborates the compiled plan against its source schedule and the
   plan cache (:mod:`repro.verify.plancheck`, ``PLAN001``-``PLAN003``);
-* derives the executor's chunking for every kernel x worker-count
-  configuration and proves it race-free and merge-deterministic
-  (:mod:`repro.verify.executor_plan`, ``EXEC001``-``EXEC004``), then
-  projects the same chunking into the process executor's shared-memory
-  arena and proves the chunks' address ranges disjoint (``EXEC005``);
 * projects the simulator fast path's per-step write-sets and proves
   each stacked scatter hazard-free, trajectory-consistent and the
-  sweep permutation a bijection (``EXEC006``);
+  sweep permutation a bijection (:mod:`repro.verify.fastpathcheck`,
+  ``EXEC006``);
 * enumerates every single-leaf death and proves graceful degradation
   total, plus fallback-chain well-formedness
   (:mod:`repro.verify.faultcheck`, ``FT001``/``FT002``).
@@ -30,36 +26,26 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..blockjacobi.kernel import BLOCK_KERNELS
 from ..machine.topology import TreeTopology, make_topology
 from ..orderings.base import Ordering
 from ..orderings.registry import ORDERINGS, make_ordering
 from ..orderings.schedule import Schedule
 from .diagnostics import Report
-from .executor_plan import (check_executor_plan, check_fastpath_projection,
-                            check_shared_memory_plan)
+from .fastpathcheck import check_fastpath_projection
 from .faultcheck import check_degraded_totality, check_fallback_chains
 from .linter import DEFAULT_SIZES, MAX_RESTORATION_PERIOD
 from .plancheck import check_plan_cache, check_plan_integrity
 
 __all__ = [
-    "ANALYZE_WORKERS",
     "analyze_ordering",
     "analyze_registry",
     "analyze_schedule",
 ]
 
-#: worker counts the gate proves the executor chunking for (1 covers
-#: the serial path; 2 and 4 exercise uneven and clamped partitions)
-ANALYZE_WORKERS: tuple[int, ...] = (1, 2, 4)
-
 
 def analyze_schedule(
     schedule: Schedule,
     topology: TreeTopology | None = None,
-    *,
-    kernels: Sequence[str] = BLOCK_KERNELS,
-    workers: Sequence[int] = ANALYZE_WORKERS,
 ) -> Report:
     """Run every execution-layer pass over one schedule.
 
@@ -70,14 +56,6 @@ def analyze_schedule(
     report.extend(check_plan_integrity(schedule), "plan-integrity")
     report.extend(check_plan_cache(schedule), "plan-cache")
     report.extend(check_fastpath_projection(schedule), "fastpath-projection")
-    for kernel in kernels:
-        for w in workers:
-            report.extend(
-                check_executor_plan(schedule, kernel=kernel, workers=w),
-                f"exec-plan[{kernel},w={w}]")
-            report.extend(
-                check_shared_memory_plan(schedule, kernel=kernel, workers=w),
-                f"exec-shm[{kernel},w={w}]")
     if topology is not None:
         report.extend(check_degraded_totality(schedule, topology),
                       "ft-degraded")
@@ -90,9 +68,6 @@ def analyze_schedule(
 def analyze_ordering(
     ordering: Ordering,
     topology: TreeTopology | None = None,
-    *,
-    kernels: Sequence[str] = BLOCK_KERNELS,
-    workers: Sequence[int] = ANALYZE_WORKERS,
 ) -> Report:
     """Analyze every structurally distinct sweep an ordering generates
     (same dedup discipline as :func:`~repro.verify.linter.lint_ordering`)."""
@@ -104,8 +79,7 @@ def analyze_ordering(
         if key in seen_keys:
             continue
         seen_keys.add(key)
-        sub = analyze_schedule(ordering.sweep(s), topology,
-                               kernels=kernels, workers=workers)
+        sub = analyze_schedule(ordering.sweep(s), topology)
         label = f"sweep{s}" if alternating else "sweep"
         for check in sub.checks:
             report.checks.append(f"{label}:{check}")
@@ -118,8 +92,6 @@ def analyze_registry(
     sizes: Sequence[int] = DEFAULT_SIZES,
     topology: str | None = "perfect",
     *,
-    kernels: Sequence[str] = BLOCK_KERNELS,
-    workers: Sequence[int] = ANALYZE_WORKERS,
     quick: bool = False,
     **kwargs_by_name: dict[str, object],
 ) -> list[Report]:
@@ -129,12 +101,11 @@ def analyze_registry(
     (name, size) combinations contribute skip reports rather than
     passing silently.  ``topology`` names the machine for the
     fault-tolerance totality pass (``None`` disables it);
-    ``quick=True`` shrinks the matrix to size 8 with workers (1, 2) —
-    the CI smoke configuration.
+    ``quick=True`` shrinks the matrix to size 8 — the CI smoke
+    configuration.
     """
     if quick:
         sizes = (8,)
-        workers = (1, 2)
     reports: list[Report] = []
     for name in (names if names is not None else sorted(ORDERINGS)):
         for n in sizes:
@@ -147,7 +118,5 @@ def analyze_registry(
                 reports.append(skip)
                 continue
             topo = make_topology(topology, n // 2) if topology else None
-            reports.append(analyze_ordering(ordering, topo,
-                                            kernels=kernels,
-                                            workers=workers))
+            reports.append(analyze_ordering(ordering, topo))
     return reports

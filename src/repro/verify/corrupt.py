@@ -12,11 +12,6 @@ operator                    rule the verifier must fire
 :func:`drop_exchange`       ``RACE003`` (send without receive)
 :func:`reverse_ring_step`   ``DIR002`` (backward ring edge)
 :func:`overload_link`       ``CAP003`` (oversubscribed channel)
-:func:`overlap_chunk_writes`     ``EXEC001`` (chunk write-sets overlap)
-:func:`split_unsplittable_stage` ``EXEC002`` (coupled stage split)
-:func:`shuffle_chunk_bounds`     ``EXEC003`` (merge order broken)
-:func:`skew_chunk_bounds`        ``EXEC004`` (load skew)
-:func:`overlap_shared_ranges`    ``EXEC005`` (shared-memory ranges overlap)
 :func:`tamper_fastpath_rows`     ``EXEC006`` (fast-path scatter row duplicated)
 :func:`tamper_plan_pairs`        ``PLAN001`` (lowered arrays corrupted)
 :func:`tamper_final_layout`      ``PLAN002`` (trajectory corrupted)
@@ -37,8 +32,7 @@ negative-test corruption and fault injection cannot drift apart — are
 re-exported here for backwards compatibility.
 
 The execution-layer operators work one level below the schedule: they
-perturb :class:`~repro.verify.executor_plan.StagePlan` objects, compiled
-plans, host maps, fallback tables, runtime write records and factor
+perturb compiled plans and their fast-path projections, host maps, fallback tables, runtime write records and factor
 matrices — each still engineered to trip exactly one rule.
 """
 
@@ -57,7 +51,6 @@ from ..orderings.plan import (PLAN_MEMO_ATTR, CompiledSchedule, FastPathPlan,
                               lower_schedule)
 from ..orderings.schedule import Move, Schedule, Step
 from ..util.validation import require
-from .executor_plan import SharedStagePlan, StagePlan
 
 __all__ = [
     "unchecked_step",
@@ -66,11 +59,6 @@ __all__ = [
     "drop_exchange",
     "reverse_ring_step",
     "overload_link",
-    "overlap_chunk_writes",
-    "split_unsplittable_stage",
-    "shuffle_chunk_bounds",
-    "skew_chunk_bounds",
-    "overlap_shared_ranges",
     "tamper_plan_pairs",
     "tamper_fastpath_rows",
     "tamper_final_layout",
@@ -172,93 +160,6 @@ def overload_link(schedule: Schedule) -> Schedule:
 # ---------------------------------------------------------------------------
 
 
-def overlap_chunk_writes(plan: StagePlan) -> StagePlan:
-    """Leak one slot of chunk 0's write-set into chunk 1's.
-
-    The bounds stay a perfect partition and every other set is
-    untouched, so only the pairwise-disjointness proof (``EXEC001``)
-    can object.
-    """
-    require(plan.n_chunks >= 2, "need at least two chunks to overlap")
-    require(bool(plan.write_sets[0]), "chunk 0 writes nothing to leak")
-    leaked = min(plan.write_sets[0])
-    sets = list(plan.write_sets)
-    sets[1] = sets[1] | {leaked}
-    return dataclasses.replace(plan, write_sets=tuple(sets))
-
-
-def split_unsplittable_stage(plan: StagePlan) -> StagePlan:
-    """Split a batch-coupled stage (the inner Gram solve) in two.
-
-    The halves are a clean in-order partition with disjoint batch-slice
-    write-sets — locally everything looks fine; only the stage's
-    ``splittable`` contract (``EXEC002``) is violated.
-    """
-    require(not plan.splittable, "stage is splittable; nothing to violate")
-    require(plan.space == "batch",
-            "only batch-space stages are declared unsplittable")
-    require(plan.n_items >= 2, "need at least two items to split")
-    mid = plan.n_items // 2
-    return dataclasses.replace(
-        plan,
-        bounds=((0, mid), (mid, plan.n_items)),
-        write_sets=(frozenset(range(0, mid)),
-                    frozenset(range(mid, plan.n_items))),
-    )
-
-
-def shuffle_chunk_bounds(plan: StagePlan) -> StagePlan:
-    """Reverse the chunk order: same coverage, wrong merge order.
-
-    Write-sets travel with their bounds, so disjointness still holds —
-    only the deterministic serial-merge contract (``EXEC003``) breaks.
-    """
-    require(plan.n_chunks >= 2, "need at least two chunks to reorder")
-    return dataclasses.replace(
-        plan,
-        bounds=tuple(reversed(plan.bounds)),
-        write_sets=tuple(reversed(plan.write_sets)),
-    )
-
-
-def skew_chunk_bounds(plan: StagePlan) -> StagePlan:
-    """Rebalance the chunks pathologically: one giant chunk, the rest
-    singletons.
-
-    Still an in-order partition with disjoint write-sets (the giant
-    chunk takes the whole union; the singletons claim nothing), so only
-    the load-balance warning (``EXEC004``) fires.
-    """
-    require(plan.splittable, "unsplittable stages are never rebalanced")
-    k = plan.n_chunks
-    require(k >= 3, "need at least three chunks for a >= 2x skew")
-    n = plan.n_items
-    require(n >= 2 * k, "too few items for the giant chunk to dominate")
-    head = n - (k - 1)
-    bounds = [(0, head)]
-    bounds += [(head + i, head + i + 1) for i in range(k - 1)]
-    union: frozenset[int] = frozenset().union(*plan.write_sets)
-    sets = [union] + [frozenset()] * (k - 1)
-    return dataclasses.replace(plan, bounds=tuple(bounds),
-                               write_sets=tuple(sets))
-
-
-def overlap_shared_ranges(plan: SharedStagePlan) -> SharedStagePlan:
-    """Leak chunk 0's first shared-memory interval into chunk 1's ranges.
-
-    The bounds and every slot-level write-set stay untouched, so the
-    address-space disjointness proof (``EXEC005``) is the only one that
-    can object — ``EXEC001`` works on slots, not arena intervals, and
-    never sees this object.
-    """
-    require(plan.n_chunks >= 2, "need at least two chunks to overlap")
-    require(bool(plan.ranges[0]), "chunk 0 writes no shared range to leak")
-    leaked = plan.ranges[0][0]
-    ranges = list(plan.ranges)
-    ranges[1] = tuple(sorted({*ranges[1], leaked}))
-    return dataclasses.replace(plan, ranges=tuple(ranges))
-
-
 def tamper_plan_pairs(schedule: Schedule) -> CompiledSchedule:
     """Corrupt the lowered pair arrays of the first rotating step.
 
@@ -300,12 +201,11 @@ def tamper_final_layout(schedule: Schedule) -> CompiledSchedule:
 def tamper_fastpath_rows(schedule: Schedule) -> "tuple[CompiledSchedule, FastPathPlan]":
     """Duplicate a content row inside one fast-path step's pairs.
 
-    The compiled plan itself stays sound (``PLAN*`` and the chunking
-    rules stay silent); the returned fast-path bundle names one content
+    The compiled plan itself stays sound (``PLAN*`` stays silent); the returned fast-path bundle names one content
     row in two pairs of the first rotating step — the stacked-scatter
     write-write hazard only the fast-path projection (``EXEC006``) can
     see.  Returns ``(plan, corrupted_fastpath)`` for
-    :func:`~repro.verify.executor_plan.check_fastpath_projection`.
+    :func:`~repro.verify.fastpathcheck.check_fastpath_projection`.
     """
     plan = lower_schedule(schedule)
     fp = plan.fastpath()
@@ -347,13 +247,13 @@ def dead_host_map(n_leaves: int) -> tuple[np.ndarray, set[int]]:
 def break_fallback_chain() -> dict[str, tuple[str, ...]]:
     """A fallback table whose gram chain dead-ends before ``reference``.
 
-    A breakdown in the batched solver would leave no escape route to
-    the always-works solver (``FT002``).
+    A breakdown in the gram solver would leave no escape route to the
+    always-works solver (``FT002``).
     """
     from ..blockjacobi.kernel import FALLBACK_CHAINS
 
     chains = {k: tuple(v) for k, v in FALLBACK_CHAINS.items()}
-    chains["gram"] = ("gram", "batched")
+    chains["gram"] = ("gram",)
     return chains
 
 

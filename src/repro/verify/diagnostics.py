@@ -48,17 +48,6 @@ RULES: dict[str, tuple[str, str]] = {
     "SWEEP001": ("error", "index pair rotated more than once in one sweep (duplicate pair)"),
     "SWEEP002": ("error", "index pair never rotated during the sweep (missing pair)"),
     "SWEEP003": ("error", "index order not restored within the allowed number of sweeps"),
-    "EXEC001": ("error", "two executor chunks of one step stage write the same slot "
-                         "(parallel write-write hazard)"),
-    "EXEC002": ("error", "an unsplittable kernel stage (the batched inner Gram solve) "
-                         "is split across executor chunks"),
-    "EXEC003": ("error", "chunk bounds are not an in-order contiguous partition of the "
-                         "step's work items (serial-merge order not deterministic)"),
-    "EXEC004": ("warning", "executor chunking skews load: the largest chunk holds at "
-                           "least twice the ideal per-chunk share"),
-    "EXEC005": ("error", "process chunking unsound for shared memory: two chunks map "
-                         "to overlapping shared-memory ranges, or the batch-coupled "
-                         "inner Gram solve is split across processes"),
     "EXEC006": ("error", "fast-path write-set projection unsound: a step's stacked "
                          "scatter writes a content row twice, the content pairs "
                          "disagree with the event path's trajectory replay, or the "
@@ -73,9 +62,9 @@ RULES: dict[str, tuple[str, str]] = {
                        "(host map broken or degraded routing impossible)"),
     "FT002": ("error", "kernel fallback chain malformed: it does not walk registered "
                        "kernels down to the reference solver"),
-    "SAN001": ("error", "runtime write-set violation: a worker touched columns outside "
-                        "its static write-set, disjoint chunks overlapped, or the "
-                        "dispatched bounds diverged from the static chunking"),
+    "SAN001": ("error", "runtime write-set violation: a solver touched columns "
+                        "outside its static write-set, or disjoint item ranges "
+                        "overlapped"),
     "SAN002": ("error", "non-finite entry in the factors at a sweep boundary "
                         "(runtime numeric canary)"),
     "SAN003": ("error", "numeric invariant drifted at a sweep boundary "

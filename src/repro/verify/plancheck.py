@@ -2,7 +2,7 @@
 
 :mod:`repro.orderings.plan` lowers every :class:`Schedule` once and
 caches the result behind a structural LRU plus a per-instance memo.
-Every executor trusts those arrays blindly — the simulator moves
+Every consumer trusts those arrays blindly — the simulator moves
 columns by ``block_cols[cs.dst] = block_cols[cs.src]``, the restoration
 proof reads ``trajectory[-1]``.  A corrupted lowering, a stale memo or
 a fingerprint collision would therefore corrupt *every* downstream
@@ -52,7 +52,7 @@ def check_plan_integrity(
     (rules ``PLAN001``/``PLAN002``).
 
     ``plan`` defaults to whatever :func:`compile_schedule` serves —
-    i.e. the exact object every executor would use.
+    i.e. the exact object every consumer would use.
     """
     if plan is None:
         plan = compile_schedule(schedule)

@@ -7,12 +7,12 @@ compiled binary.  Two families of checks:
 write-set records (``SAN001``)
     :func:`~repro.blockjacobi.kernel.solve_block_step` opens a record
     per schedule step; solvers report the column sets they actually
-    scatter into (``record_touch``) and executors report the chunk
-    bounds they actually dispatch (``note_dispatch``).  When the step
-    closes, the record must agree with the statically derived per-pair
-    write-sets: every touched column inside its claimed range's sets,
-    disjoint ranges touching disjoint columns, dispatched bounds equal
-    to :meth:`~repro.parallel.executor.StepExecutor.chunk_bounds`.
+    scatter into (``record_touch``).  When the step closes, the record
+    must agree with the statically derived per-pair write-sets: every
+    touched column inside its claimed range's sets, and disjoint ranges
+    touching disjoint columns.  Under the ``threads`` step executor the
+    kernels replay one record per chunk in the calling thread after the
+    dispatch settles, so the records need no lock.
 
 sweep-boundary numeric canaries (``SAN002``/``SAN003``)
     The same invariant detectors the fault-recovery driver uses
@@ -38,7 +38,6 @@ the process, and the fault driver runs the same detectors itself.
 from __future__ import annotations
 
 import os
-import threading
 from collections.abc import Sequence
 
 import numpy as np
@@ -82,33 +81,18 @@ class SanitizerError(RuntimeError):
 def check_write_record(
     n_items: int,
     expected_items: Sequence[frozenset[int]],
-    dispatched: Sequence[tuple[int, tuple[tuple[int, int], ...]]],
     touched: Sequence[tuple[int, int, tuple[int, ...]]],
     *,
-    workers: int = 1,
     step: int | None = None,
 ) -> list[Diagnostic]:
     """Cross-check one step's runtime write record (rule ``SAN001``).
 
     ``expected_items[i]`` is the static column write-set of work item
-    ``i``; ``dispatched`` holds ``(n_items, bounds)`` per executor
-    dispatch; ``touched`` holds ``(lo, hi, columns)`` claims from the
+    ``i``; ``touched`` holds ``(lo, hi, columns)`` claims from the
     solvers.  Pure function — the negative tests feed it corrupted
     records directly.
     """
-    from ..parallel.executor import StepExecutor
-
     out: list[Diagnostic] = []
-    want = tuple(StepExecutor.chunk_bounds(n_items, workers))
-    for nd, bounds in dispatched:
-        if nd != n_items or tuple(bounds) != want:
-            out.append(Diagnostic(
-                rule="SAN001", step=step,
-                message=f"executor dispatched bounds {list(bounds)} over "
-                        f"{nd} item(s); the static chunking of {n_items} "
-                        f"item(s) across {workers} worker(s) is {list(want)}",
-                details=(("dispatched", tuple(bounds)), ("expected", want)),
-            ))
     claims: list[tuple[int, int, frozenset[int]]] = []
     for lo, hi, cols in touched:
         colset = frozenset(int(c) for c in cols)
@@ -127,7 +111,7 @@ def check_write_record(
         if stray:
             out.append(Diagnostic(
                 rule="SAN001", step=step,
-                message=f"worker for items [{lo}, {hi}) touched column(s) "
+                message=f"solver for items [{lo}, {hi}) touched column(s) "
                         f"{stray} outside its static write-set",
                 details=(("stray", tuple(stray)),),
             ))
@@ -139,7 +123,7 @@ def check_write_record(
                 if shared:
                     out.append(Diagnostic(
                         rule="SAN001", step=step,
-                        message=f"disjoint chunks [{lo1}, {hi1}) and "
+                        message=f"disjoint item ranges [{lo1}, {hi1}) and "
                                 f"[{lo2}, {hi2}) both touched column(s) "
                                 f"{shared} (write-write overlap)",
                         details=(("shared", tuple(shared)),),
@@ -205,8 +189,7 @@ class RuntimeSanitizer:
     """Run-scoped sanitizer state: one write record per step, numeric
     canaries per sweep.
 
-    Thread-safe: ``record_touch``/``note_dispatch`` are called from
-    executor worker threads.  ``diagnostics`` accumulates every finding;
+    ``diagnostics`` accumulates every finding;
     with ``raise_on_violation`` (the default) the first finding also
     raises :class:`SanitizerError` so a poisoned run cannot keep going.
     """
@@ -224,61 +207,42 @@ class RuntimeSanitizer:
         self.diagnostics: list[Diagnostic] = []
         self.steps_checked = 0
         self.sweeps_checked = 0
-        self._lock = threading.Lock()
         self._active = False
         self._n_items = 0
-        self._workers = 1
         self._expected: list[frozenset[int]] = []
-        self._dispatched: list[tuple[int, tuple[tuple[int, int], ...]]] = []
         self._touched: list[tuple[int, int, tuple[int, ...]]] = []
         self._ref_norm: float | None = None
 
     # -- step write-set protocol ----------------------------------------
 
     def begin_step(self, n_items: int,
-                   expected_items: Sequence[frozenset[int]],
-                   workers: int = 1) -> None:
+                   expected_items: Sequence[frozenset[int]]) -> None:
         """Open the write record of one schedule step."""
-        with self._lock:
-            self._active = True
-            self._n_items = int(n_items)
-            self._workers = int(workers)
-            self._expected = list(expected_items)
-            self._dispatched = []
-            self._touched = []
-
-    def note_dispatch(self, n_items: int,
-                      bounds: Sequence[tuple[int, int]]) -> None:
-        """Record the chunk bounds an executor actually dispatched."""
-        with self._lock:
-            if self._active:
-                self._dispatched.append(
-                    (int(n_items),
-                     tuple((int(lo), int(hi)) for lo, hi in bounds)))
+        self._active = True
+        self._n_items = int(n_items)
+        self._expected = list(expected_items)
+        self._touched = []
 
     def record_touch(self, lo: int, hi: int,
                      cols: "Sequence[int] | np.ndarray") -> None:
-        """Record columns a worker touched while owning items [lo, hi)."""
-        flat = tuple(int(c) for c in np.asarray(cols).reshape(-1))
-        with self._lock:
-            if self._active:
-                self._touched.append((int(lo), int(hi), flat))
+        """Record columns a solver touched while owning items [lo, hi)."""
+        if self._active:
+            self._touched.append(
+                (int(lo), int(hi),
+                 tuple(int(c) for c in np.asarray(cols).reshape(-1))))
 
     def abort_step(self) -> None:
         """Discard the open record (the step raised; nothing to check)."""
-        with self._lock:
-            self._active = False
+        self._active = False
 
     def end_step(self, step: int | None = None) -> None:
         """Close the record and cross-check it against the static sets."""
-        with self._lock:
-            if not self._active:
-                return
-            self._active = False
-            diags = check_write_record(
-                self._n_items, self._expected, self._dispatched,
-                self._touched, workers=self._workers, step=step)
-            self.steps_checked += 1
+        if not self._active:
+            return
+        self._active = False
+        diags = check_write_record(self._n_items, self._expected,
+                                   self._touched, step=step)
+        self.steps_checked += 1
         self._report(diags)
 
     # -- sweep-boundary canaries ----------------------------------------
@@ -306,7 +270,6 @@ class RuntimeSanitizer:
     def _report(self, diags: list[Diagnostic]) -> None:
         if not diags:
             return
-        with self._lock:
-            self.diagnostics.extend(diags)
+        self.diagnostics.extend(diags)
         if self.raise_on_violation:
             raise SanitizerError(diags[0])

@@ -2,13 +2,12 @@
 
 Positive direction: every registered ordering, at every gate size, is
 clean under the full execution-layer analysis — compiled-plan
-integrity, executor chunking for every kernel x worker count, and
-fault-tolerance totality on the perfect tree.  Negative direction:
+integrity, the fast-path write-set projection, and fault-tolerance
+totality on the perfect tree.  Negative direction:
 each execution-layer corruption operator trips exactly the rule it is
 engineered for, by rule ID.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -16,43 +15,23 @@ import pytest
 from repro.cli import main
 from repro.machine.topology import make_topology
 from repro.orderings import make_ordering, ordering_names
-from repro.orderings.plan import compile_schedule
 from repro.verify import (
-    ANALYZE_WORKERS,
     analyze_ordering,
     analyze_registry,
     analyze_schedule,
     break_fallback_chain,
     check_degraded_totality,
-    check_executor_plan,
     check_fallback_chains,
     check_host_map,
     check_plan_cache,
     check_plan_integrity,
-    check_shared_memory_plan,
-    check_shared_plan,
-    check_stage_plan,
     dead_host_map,
-    derive_shared_plan,
-    derive_step_chunking,
-    overlap_chunk_writes,
-    overlap_shared_ranges,
-    shuffle_chunk_bounds,
-    skew_chunk_bounds,
-    split_unsplittable_stage,
     stale_plan_memo,
     tamper_final_layout,
     tamper_plan_pairs,
 )
 
 GATE_SIZES = (8, 16, 32)
-
-
-def _stage_plans(kernel="gram", workers=4, n=32):
-    """Stage plans of the first rotating step of a real schedule."""
-    plan = compile_schedule(make_ordering("ring_new", n).sweep(0))
-    step = next(s for s in plan.steps if s.n_pairs)
-    return {p.stage: p for p in derive_step_chunking(step, kernel, workers)}
 
 
 def _rules(diags):
@@ -85,106 +64,12 @@ class TestRegistryGate:
         assert report.ok
         assert any("ft-degraded(skipped" in c for c in report.checks)
 
-    def test_every_kernel_worker_combination_is_checked(self):
+    def test_every_pass_is_recorded(self):
         sched = make_ordering("ring_new", 8).sweep(0)
         report = analyze_schedule(sched, make_topology("perfect", 4))
-        for kernel in ("reference", "batched", "gram"):
-            for w in ANALYZE_WORKERS:
-                assert f"exec-plan[{kernel},w={w}]" in report.checks
-                assert f"exec-shm[{kernel},w={w}]" in report.checks
-
-
-class TestExecRules:
-    """EXEC corruptions fire exactly their engineered rule."""
-
-    def test_pristine_stage_plans_are_clean(self):
-        for kernel in ("reference", "batched", "gram"):
-            for w in (1, 2, 4):
-                for plan in _stage_plans(kernel, w).values():
-                    assert check_stage_plan(plan) == []
-
-    def test_overlapping_write_sets_fire_exec001(self):
-        plan = overlap_chunk_writes(_stage_plans()["gram-apply"])
-        assert _rules(check_stage_plan(plan)) == {"EXEC001"}
-
-    def test_split_gram_solve_fires_exec002(self):
-        plan = split_unsplittable_stage(_stage_plans()["gram-solve"])
-        assert _rules(check_stage_plan(plan)) == {"EXEC002"}
-
-    def test_reordered_bounds_fire_exec003(self):
-        plan = shuffle_chunk_bounds(_stage_plans()["gram-apply"])
-        assert _rules(check_stage_plan(plan)) == {"EXEC003"}
-
-    def test_skewed_bounds_warn_exec004(self):
-        plan = skew_chunk_bounds(_stage_plans()["gram-apply"])
-        diags = check_stage_plan(plan)
-        assert _rules(diags) == {"EXEC004"}
-        assert all(not d.is_error for d in diags)  # advisory, not a gate fail
-
-    def test_whole_schedule_pass_is_clean(self):
-        sched = make_ordering("fat_tree", 16).sweep(0)
-        for kernel in ("reference", "batched", "gram"):
-            assert check_executor_plan(sched, kernel=kernel, workers=4) == []
-
-
-def _shared_plans(kernel="gram", workers=4, n=32, block_size=2):
-    """Shared-memory plans of the first rotating step of a real schedule."""
-    plan = compile_schedule(make_ordering("ring_new", n).sweep(0))
-    step = next(s for s in plan.steps if s.n_pairs)
-    return {p.stage: p
-            for p in derive_shared_plan(step, kernel, workers, block_size)}
-
-
-class TestSharedMemoryRules:
-    """EXEC005: process chunks must map to disjoint arena ranges and
-    must never split the batch-coupled inner Gram solve."""
-
-    def test_pristine_shared_plans_are_clean(self):
-        for kernel in ("reference", "batched", "gram"):
-            for w in (1, 2, 4):
-                for plan in _shared_plans(kernel, w).values():
-                    assert check_shared_plan(plan) == []
-
-    def test_whole_schedule_shm_pass_is_clean(self):
-        for name in ("ring_new", "fat_tree"):
-            sched = make_ordering(name, 16).sweep(0)
-            for kernel in ("reference", "batched", "gram"):
-                for w in (1, 2, 4):
-                    assert check_shared_memory_plan(
-                        sched, kernel=kernel, workers=w, block_size=2) == []
-
-    def test_overlapping_shared_ranges_fire_exec005_only(self):
-        plan = overlap_shared_ranges(_shared_plans()["gram-apply"])
-        assert _rules(check_shared_plan(plan)) == {"EXEC005"}
-
-    def test_overlap_does_not_confuse_the_slot_checker(self):
-        # EXEC001 reasons about slots, EXEC005 about arena intervals;
-        # the range corruption must be invisible to the slot checker.
-        slots = _stage_plans()["gram-apply"]
-        assert check_stage_plan(slots) == []
-
-    def test_split_gram_solve_fires_exec005(self):
-        plan = _shared_plans()["gram-solve"]
-        assert plan.n_chunks == 1  # derivation never splits it
-        mid = plan.n_items // 2
-        split = dataclasses.replace(
-            plan,
-            bounds=((0, mid), (mid, plan.n_items)),
-            ranges=((("G", 0, mid),), (("G", mid, plan.n_items),)))
-        assert _rules(check_shared_plan(split)) == {"EXEC005"}
-
-    def test_slot_columns_scale_with_block_size(self):
-        small = _shared_plans(block_size=1)["gram-apply"]
-        big = _shared_plans(block_size=4)["gram-apply"]
-        hi_small = max(hi for r in small.ranges for _, _, hi in r)
-        hi_big = max(hi for r in big.ranges for _, _, hi in r)
-        assert hi_big == 4 * hi_small
-
-    def test_corruption_preserves_the_original(self):
-        plan = _shared_plans()["gram-apply"]
-        before = plan.ranges
-        overlap_shared_ranges(plan)
-        assert plan.ranges == before
+        assert report.checks == ["plan-integrity", "plan-cache",
+                                 "fastpath-projection", "ft-degraded",
+                                 "ft-fallback"]
 
 
 class TestPlanRules:
@@ -245,8 +130,7 @@ class TestAnalyzeCLI:
         assert "all clean" in capsys.readouterr().out
 
     def test_single_target(self, capsys):
-        assert main(["analyze", "--ordering", "ring_new", "--n", "8",
-                     "--workers", "2"]) == 0
+        assert main(["analyze", "--ordering", "ring_new", "--n", "8"]) == 0
         assert "ring_new(n=8): ok" in capsys.readouterr().out
 
     def test_json_output_is_machine_readable(self, capsys):
@@ -268,6 +152,3 @@ class TestAnalyzeCLI:
 
     def test_unknown_topology_is_usage_error(self, capsys):
         assert main(["analyze", "--topology", "nope"]) == 2
-
-    def test_bad_worker_count_is_usage_error(self, capsys):
-        assert main(["analyze", "--workers", "0"]) == 2

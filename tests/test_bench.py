@@ -54,9 +54,9 @@ class TestTiming:
 
 
 class TestScenarios:
-    def test_full_list_has_thirty_two_quick_has_twenty_one(self):
-        assert len(default_scenarios(quick=False)) == 32
-        assert len(default_scenarios(quick=True)) == 21
+    def test_full_list_has_twenty_six_quick_has_eighteen(self):
+        assert len(default_scenarios(quick=False)) == 26
+        assert len(default_scenarios(quick=True)) == 18
 
     def test_names_unique_and_stable(self):
         full = scenario_names(quick=False)
@@ -64,14 +64,10 @@ class TestScenarios:
         assert "svd/batched/fat_tree/n64" in full
         assert "block/gram/ring_new/n128b8" in full
         assert "block/reference/ring_new/n128b8" in full
-        assert "exec/serial/ring_new/n128b8" in full
-        assert "exec/threads/ring_new/n128b8" in full
-        assert "exec/processes/ring_new/n128b8" in full
         assert "route/loop/ring_new/n256" in full
         assert "route/vec/ring_new/n256" in full
         assert "sanitize/off/serial/n128b8" in full
         assert "sanitize/on/serial/n128b8" in full
-        assert "sanitize/on/threads/n128b8" in full
         assert "parallel/hybrid/cm5/n64b4" in full
         assert "batch/loop/ring_new/n16x1000" in full
         assert "batch/batch/ring_new/n16x1000" in full
@@ -93,15 +89,9 @@ class TestScenarios:
                     f"block/reference/{s.params['ordering']}"
                     f"/n{s.params['n']}b{s.params['block_size']}"
                 )
-            elif (s.kind == "svd-parallel-exec"
-                  and s.params["executor"] != "serial"):
-                assert s.reference == (
-                    f"exec/serial/{s.params['ordering']}"
-                    f"/n{s.params['n']}b{s.params['block_size']}"
-                )
             elif s.kind == "sanitize-overhead" and s.params["sanitize"]:
                 assert s.reference == (
-                    f"sanitize/off/{s.params['executor']}"
+                    f"sanitize/off/serial"
                     f"/n{s.params['n']}b{s.params['block_size']}"
                 )
             elif s.kind == "svd-batch" and s.params["mode"] == "batch" \
@@ -164,24 +154,6 @@ class TestScenarios:
         assert rec["meta"]["converged"] is True
         assert rec["meta"]["fault_events"] > 0
         assert rec["meta"]["model_overhead"] > 1.0
-
-    def test_run_exec_scenarios_bit_identical(self):
-        """The serial, threads and processes exec scenarios are the same
-        computation: identical convergence trajectory, only wall time may
-        differ."""
-        by_name = {s.name: s for s in default_scenarios(quick=True)}
-        recs = [run_scenario(by_name[f"exec/{e}/ring_new/n32b4"],
-                             repeats=1, warmup=0)
-                for e in ("serial", "threads", "processes")]
-        for rec in recs:
-            assert rec["kind"] == "svd-parallel-exec"
-            assert rec["meta"]["converged"] is True
-            assert rec["meta"]["executor"] in ("serial", "threads",
-                                               "processes")
-            assert rec["meta"]["sweeps"] == recs[0]["meta"]["sweeps"]
-            assert rec["meta"]["rotations"] == recs[0]["meta"]["rotations"]
-        assert recs[1]["meta"]["workers"] == 2
-        assert recs[2]["meta"]["workers"] == 2
 
     def test_run_route_scenarios_same_phase_totals(self):
         """The loop and vec routing scenarios route the same sweep: same

@@ -111,6 +111,11 @@ class TestCommands:
         assert rc == 0
         assert "converged=True" in capsys.readouterr().out
 
+    def test_svd_batched_with_block_size_is_usage_error(self, capsys):
+        rc = main(["svd", "--kernel", "batched", "--block-size", "4"])
+        assert rc == 2
+        assert "scalar kernel" in capsys.readouterr().out
+
 
 def _bench(tmp_path, *extra):
     """Run the cheapest scenario subset into tmp_path; returns exit code."""

@@ -152,7 +152,7 @@ class TestResolution:
         assert default_workers() >= 1
 
     def test_registry_is_stable(self):
-        assert EXECUTORS == ("serial", "threads", "processes")
+        assert EXECUTORS == ("serial", "threads")
 
 
 def _run(a, ordering, kernel, executor, workers=None):
@@ -166,7 +166,7 @@ class TestBitIdentity:
     """threads == serial, bit for bit, across the whole matrix of knobs."""
 
     @pytest.mark.parametrize("ordering", ["fat_tree", "ring_new", "hybrid"])
-    @pytest.mark.parametrize("kernel", ["reference", "batched", "gram"])
+    @pytest.mark.parametrize("kernel", ["reference", "gram"])
     def test_threads_match_serial_across_worker_counts(
             self, ordering, kernel):
         rng = np.random.default_rng(42)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.blockjacobi.kernel import solve_block_step
 from repro.faults.plan import FaultPlan
 from repro.faults.injector import FaultInjector
 from repro.machine.simulator import TreeMachine
@@ -31,7 +32,6 @@ CONFIGS = (
     ("gram", 2),
     ("gram", 4),
     ("reference", 2),
-    ("batched", 4),
 )
 
 
@@ -122,19 +122,34 @@ def test_breakdown_fallback_is_bitwise():
     a = rng.standard_normal((m, n))
     a[:, 5] *= 1e200  # Gram entry overflows to inf
     out = {}
+    fallbacks = {}
     for force in (True, False):
         machine = TreeMachine(PerfectFatTree(4))
         machine.load(a, kernel="gram", block_size=2)
         machine.force_event = force
         ordg = make_ordering("ring_new", 8)
         with np.errstate(over="ignore", invalid="ignore"):
-            for s in range(2):
-                machine.run_sweep(ordg.sweep(s), sweep_index=s)
+            fallbacks[force] = [
+                machine.run_sweep(ordg.sweep(s), sweep_index=s)[1].fallbacks
+                for s in range(2)]
         out[force] = machine
     np.testing.assert_array_equal(out[True].X, out[False].X)
     np.testing.assert_array_equal(out[True].V, out[False].V)
     np.testing.assert_array_equal(out[True].block_cols,
                                   out[False].block_cols)
+    assert fallbacks[True] == fallbacks[False]
+    assert fallbacks[True][0] > 0
+    # the poisoned gram pair lands on the guarded reference solver in
+    # one downgrade, with the reference solver's own bits
+    cols = np.arange(4, 8)
+    X_gram, X_ref = a.copy(), a.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        st_gram, _ = solve_block_step(X_gram, None, [cols], 1e-12, "desc",
+                                      2, "gram")
+    st_ref, _ = solve_block_step(X_ref, None, [cols], 1e-12, "desc", 2,
+                                 "reference")
+    assert (st_gram.fallbacks, st_ref.fallbacks) == (1, 0)
+    np.testing.assert_array_equal(X_gram, X_ref)
 
 
 def test_force_event_knob():

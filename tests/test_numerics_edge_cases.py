@@ -8,7 +8,8 @@ validators must reject before they can corrupt a factorisation.
 import numpy as np
 import pytest
 
-from repro import JacobiOptions, jacobi_svd, svd
+from repro import (ConvergenceWarning, JacobiOptions, jacobi_svd,
+                   parallel_svd, svd, svd_batch)
 from repro.orderings import check_all_pairs_once
 from repro.orderings.schedule import Move, Schedule, Step
 from repro.svd import accuracy_report
@@ -46,6 +47,39 @@ class TestExtremeScales:
         r = jacobi_svd(a, ordering="round_robin")
         ref = np.linalg.svd(a, compute_uv=False)
         assert np.allclose(r.sigma, ref, atol=1e-13)
+
+
+class TestNonFiniteOutputIsFlagged:
+    """A non-finite sigma, U or V is never labelled converged: the gram
+    kernel's column norms overflow on a 24x16 Gaussian scaled by 1e155,
+    and every entry point must report that run as not converged."""
+
+    @pytest.fixture
+    def huge(self):
+        return np.random.default_rng(0).standard_normal((24, 16)) * 1e155
+
+    def test_svd(self, huge):
+        with np.errstate(all="ignore"), \
+                pytest.warns(ConvergenceWarning, match="non-finite"):
+            r = svd(huge, block_size=4)
+        assert not np.isfinite(r.sigma).all()
+        assert r.converged is False
+
+    def test_parallel_svd(self, huge):
+        with np.errstate(all="ignore"), \
+                pytest.warns(ConvergenceWarning, match="non-finite"):
+            r, _ = parallel_svd(huge, topology="perfect", ordering="ring_new",
+                                block_size=4)
+        assert not np.isfinite(r.sigma).all()
+        assert r.converged is False
+
+    def test_svd_batch_flags_per_item(self, huge):
+        stack = np.stack([huge, huge / 1e155])
+        with np.errstate(all="ignore"), \
+                pytest.warns(ConvergenceWarning, match="1 of 2 results"):
+            br = svd_batch(stack, block_size=4)
+        assert [r.converged for r in br] == [False, True]
+        assert np.isfinite(br[1].sigma).all()
 
 
 class TestPathologicalSpectra:

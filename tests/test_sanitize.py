@@ -1,10 +1,10 @@
 """Tests of the opt-in runtime sanitizer (repro.verify.sanitize).
 
-Positive direction: sanitized runs of every kernel and backend complete
-cleanly and still match LAPACK.  Negative direction: each corrupted
-runtime record — stray column touch, wrong dispatch bounds, poisoned or
-drifted factors — trips exactly the SAN rule it is engineered for, and
-a violation aborts the run via SanitizerError.
+Positive direction: sanitized runs of every block kernel and step
+executor complete cleanly and still match LAPACK.  Negative direction:
+each corrupted runtime record — stray column touch, overlapping
+touches, poisoned or drifted factors — trips exactly the SAN rule it is
+engineered for, and a violation aborts the run via SanitizerError.
 """
 
 import numpy as np
@@ -53,39 +53,30 @@ class TestEnableSwitch:
 
 class TestWriteRecord:
     def test_clean_record(self):
-        dispatched = [(4, ((0, 2), (2, 4)))]
         touched = [(0, 2, (0, 1, 2, 3)), (2, 4, (4, 5, 6, 7))]
-        assert check_write_record(4, EXPECTED, dispatched, touched,
-                                  workers=2) == []
+        assert check_write_record(4, EXPECTED, touched) == []
 
     def test_touching_fewer_columns_is_allowed(self):
         # the gram kernel's sort-only early return writes nothing: a
         # touch record is a subset claim, not an equality claim
-        assert check_write_record(4, EXPECTED, [], [(0, 4, (0,))]) == []
+        assert check_write_record(4, EXPECTED, [(0, 4, (0,))]) == []
 
     def test_stray_column_fires_san001(self):
-        diags = check_write_record(4, EXPECTED, [],
-                                   stray_column_touch(EXPECTED))
+        diags = check_write_record(4, EXPECTED, stray_column_touch(EXPECTED))
         assert _rules(diags) == {"SAN001"}
         assert "outside its static write-set" in diags[0].message
 
-    def test_wrong_dispatch_bounds_fire_san001(self):
-        dispatched = [(4, ((0, 3), (3, 4)))]  # static chunking is (0,2),(2,4)
-        diags = check_write_record(4, EXPECTED, dispatched, [], workers=2)
-        assert _rules(diags) == {"SAN001"}
-        assert "dispatched" in diags[0].message
-
     def test_out_of_range_claim_fires_san001(self):
-        diags = check_write_record(4, EXPECTED, [], [(2, 9, (4,))])
+        diags = check_write_record(4, EXPECTED, [(2, 9, (4,))])
         assert _rules(diags) == {"SAN001"}
         assert "outside the step" in diags[0].message
 
     def test_overlap_across_disjoint_chunks_fires_san001(self):
         # both items may legally write column 0, but two *disjoint*
-        # chunks actually doing so is a write-write race at runtime
+        # item ranges actually doing so is a write-write hazard
         expected = [frozenset({0}), frozenset({0})]
         touched = [(0, 1, (0,)), (1, 2, (0,))]
-        diags = check_write_record(2, expected, [], touched)
+        diags = check_write_record(2, expected, touched)
         assert _rules(diags) == {"SAN001"}
         assert "write-write overlap" in diags[0].message
 
@@ -138,8 +129,7 @@ class TestNumericCanaries:
 class TestRuntimeSanitizer:
     def test_clean_step_protocol(self):
         san = RuntimeSanitizer()
-        san.begin_step(4, EXPECTED, workers=2)
-        san.note_dispatch(4, [(0, 2), (2, 4)])
+        san.begin_step(4, EXPECTED)
         san.record_touch(0, 2, [0, 1, 2, 3])
         san.record_touch(2, 4, [4, 5, 6, 7])
         san.end_step(step=1)
@@ -148,8 +138,8 @@ class TestRuntimeSanitizer:
 
     def test_violation_raises_with_rule_tag(self):
         san = RuntimeSanitizer()
-        san.begin_step(4, EXPECTED, workers=2)
-        san.note_dispatch(4, [(0, 3), (3, 4)])
+        san.begin_step(4, EXPECTED)
+        san.record_touch(*stray_column_touch(EXPECTED)[0])
         with pytest.raises(SanitizerError) as exc:
             san.end_step()
         assert exc.value.diagnostic.rule == "SAN001"
@@ -174,8 +164,7 @@ class TestRuntimeSanitizer:
     def test_touches_outside_a_step_are_ignored(self):
         san = RuntimeSanitizer()
         san.record_touch(0, 1, [0])
-        san.note_dispatch(1, [(0, 1)])
-        san.begin_step(4, EXPECTED, workers=1)
+        san.begin_step(4, EXPECTED)
         san.end_step()
         assert san.clean
 
@@ -194,7 +183,7 @@ class TestRuntimeSanitizer:
 class TestSanitizedRuns:
     """End-to-end: sanitized runs stay clean and still match LAPACK."""
 
-    @pytest.mark.parametrize("kernel", ["reference", "batched", "gram"])
+    @pytest.mark.parametrize("kernel", ["reference", "gram"])
     @pytest.mark.parametrize("executor,workers", [("serial", None),
                                                   ("threads", 4)])
     def test_block_jacobi_clean_under_sanitizer(self, kernel, executor,

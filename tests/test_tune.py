@@ -12,9 +12,9 @@ import pytest
 
 from repro.cli import main
 from repro.tune import (Candidate, DEFAULT_CANDIDATE, SCHEMA,
-                        backend_catalogue, candidate_space, load_profile,
-                        lookup_entry, profile_options, profile_path,
-                        save_profile, tune, validate_profile)
+                        candidate_space, load_profile, lookup_entry,
+                        profile_options, profile_path, save_profile, tune,
+                        validate_profile)
 
 
 def _fake_timer(costs):
@@ -30,52 +30,22 @@ def _fake_timer(costs):
     return timer
 
 
-_ALL_OK = {"executors": {"serial": None, "threads": None, "processes": None},
-           "compute_backends": {"numpy": None, "einsum": None,
-                                "numba": None, "cupy": None}}
-
-
 class TestSpace:
     def test_default_is_first(self):
-        space = candidate_space(72, 64, catalogue=_ALL_OK)
+        space = candidate_space(72, 64)
         assert space[0] == DEFAULT_CANDIDATE
         assert len(space) == len(set(space))
 
-    def test_availability_filter_skips_unavailable(self):
-        crippled = {"executors": {"serial": None,
-                                  "threads": "ImportError: no threads",
-                                  "processes": "ImportError: no shm"},
-                    "compute_backends": {"numpy": None,
-                                         "einsum": "broken",
-                                         "numba": "missing",
-                                         "cupy": "missing"}}
-        space = candidate_space(72, 64, catalogue=crippled)
-        assert all(c.executor is None for c in space)
-        assert all(c.compute_backend is None for c in space)
-        rich = candidate_space(72, 64, catalogue=_ALL_OK)
-        assert any(c.executor == "processes" for c in rich)
-        assert any(c.compute_backend == "cupy" for c in rich)
-
     def test_block_sizes_keep_eight_slots(self):
-        for c in candidate_space(600, 512, catalogue=_ALL_OK):
+        for c in candidate_space(600, 512):
             if c.block_size is not None:
                 assert 512 % c.block_size == 0
                 assert 512 // c.block_size >= 8
 
     def test_quick_space_is_small(self):
-        space = candidate_space(72, 64, quick=True, catalogue=_ALL_OK)
+        space = candidate_space(72, 64, quick=True)
         assert DEFAULT_CANDIDATE in space
         assert len(space) <= 5
-
-    def test_scalar_candidate_rejects_block_knobs(self):
-        with pytest.raises(ValueError, match="scalar candidates"):
-            Candidate(kernel="batched", executor="threads")
-
-    def test_catalogue_shape(self):
-        cat = backend_catalogue()
-        assert set(cat) == {"executors", "compute_backends"}
-        assert cat["executors"]["serial"] is None
-        json.dumps(cat)  # must be JSON-able for the backends subcommand
 
 
 class TestRunner:
@@ -159,8 +129,7 @@ class TestProfile:
         assert entry["speedup"] == pytest.approx(4.0)
         opts = profile_options(path, 72, 64)
         assert opts == {"ordering": "ring_new", "kernel": "gram",
-                        "block_size": 8, "executor": None, "workers": None,
-                        "compute_backend": None}
+                        "block_size": 8}
 
     def test_merge_keeps_other_shapes(self, tmp_path):
         path = profile_path(tmp_path, "h")
@@ -183,13 +152,21 @@ class TestProfile:
         assert lookup_entry(path, 40, 32)["batch"] is None
 
     def test_stale_schema_rejected(self, tmp_path):
-        path = tmp_path / "PROFILE_old.json"
-        path.write_text(json.dumps({"schema": "repro.tune/0", "entries": []}))
-        with pytest.raises(ValueError, match="repro.tune/0"):
-            load_profile(path)
-        # refusing to clobber a stale file keeps its consumers honest
-        with pytest.raises(ValueError, match="repro.tune/0"):
-            save_profile(self._result(), path)
+        v1_entry = {"m": 72, "n": 64, "batch": None,
+                    "options": {"ordering": "ring_new", "kernel": "gram",
+                                "block_size": 8, "executor": None,
+                                "workers": None, "compute_backend": None}}
+        # schema 0, and a v1 profile whose entries carry the executor /
+        # workers / compute_backend knobs schema v2 dropped
+        for stale in ({"schema": "repro.tune/0", "entries": []},
+                      {"schema": "repro.tune/1", "entries": [v1_entry]}):
+            path = tmp_path / "PROFILE_old.json"
+            path.write_text(json.dumps(stale))
+            with pytest.raises(ValueError, match=stale["schema"]):
+                load_profile(path)
+            # refusing to clobber a stale file keeps its consumers honest
+            with pytest.raises(ValueError, match=stale["schema"]):
+                save_profile(self._result(), path)
 
     def test_validate_rejects_malformed(self):
         with pytest.raises(ValueError, match="JSON object"):
@@ -201,23 +178,12 @@ class TestProfile:
                 {"m": 8, "n": 8, "batch": None,
                  "options": {"kernel": "gram", "warp_drive": 11}}]})
 
-    def test_inconsistent_scalar_entry_rejected(self):
-        data = {"schema": SCHEMA, "entries": [
-            {"m": 8, "n": 8, "batch": None,
-             "options": {"ordering": "ring_new", "kernel": "batched",
-                         "block_size": None, "executor": "threads",
-                         "workers": 2, "compute_backend": None}}]}
-        validate_profile(data)  # structurally fine ...
-        with pytest.raises(ValueError, match="scalar candidates"):
-            profile_options(data, 8, 8)  # ... semantically caught on use
-
 
 class TestApiFill:
     PROFILE = {"schema": SCHEMA, "entries": [
         {"m": 40, "n": 32, "batch": None,
          "options": {"ordering": "ring_new", "kernel": "gram",
-                     "block_size": 4, "executor": None, "workers": None,
-                     "compute_backend": None}}]}
+                     "block_size": 4}}]}
 
     def test_profile_fills_unset_options(self):
         from repro import svd
@@ -264,12 +230,6 @@ class TestCli:
                      "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["candidates"][0]["kernel"] == "reference"
-        assert "catalogue" in doc
-
-    def test_backends_json(self, capsys):
-        assert main(["backends", "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["executors"]["serial"] is None
 
     def test_quick_tune_writes_profile(self, tmp_path, capsys):
         code = main(["tune", "--m", "16", "--n", "8", "--quick",
