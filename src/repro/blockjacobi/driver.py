@@ -48,8 +48,11 @@ class BlockJacobiOptions:
     ``tol``
         Relative orthogonality threshold, as in the scalar driver.
     ``inner_sweeps``
-        Cyclic Jacobi sweeps applied to each met block pair (2 is enough
-        near convergence; the outer iteration absorbs the slack).
+        Cyclic Jacobi sweeps the ``reference`` kernel applies to each met
+        block pair (2 is enough near convergence; the outer iteration
+        absorbs the slack), and the local work the cost model charges per
+        pair.  The ``gram`` kernel diagonalises each pair's Gram matrix
+        with LAPACK instead, whatever this value.
     ``max_sweeps``
         Outer sweep bound.
     ``sort``
@@ -134,6 +137,12 @@ def block_jacobi_svd(
     The column count must be ``2 P b`` for an integer number of leaves
     ``P`` admissible to the chosen ordering (the ordering runs on the
     ``2P`` blocks).
+
+    ``rotations`` in the result (and in each sweep record) counts the
+    plane rotations applied for the ``reference`` kernel; for the
+    ``gram`` kernel, which solves each pair with one eigendecomposition,
+    it counts the Gram off-diagonal entries found above the convergence
+    threshold.
     """
     a = np.asarray(a, dtype=np.float64)
     require(a.ndim == 2, "matrix expected")

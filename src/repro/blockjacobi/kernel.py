@@ -12,18 +12,19 @@ blocks on.  Two interchangeable solvers are provided:
     last rung of its fallback chain.
 
 ``gram``
-    BLAS-3: form the ``2b x 2b`` Gram matrix ``G = Y^T Y`` once, run the
-    inner cyclic Jacobi entirely on ``G`` while accumulating the
-    orthogonal factor ``W`` in ``2b x 2b`` space
-    (:func:`repro.eig.gram_eigh_batched`), then apply ``Y <- Y W`` and
-    ``V <- V W`` with single GEMMs.  ``inner_sweeps`` worth of strided
-    column updates collapse into two ``(m x 2b) @ (2b x 2b)`` matmuls
-    per pair, so the dominant cost is matrix-matrix work.  Because the
-    block pairs met in one schedule step have disjoint column sets, the
-    gram kernel solves *all* of them at once through
-    :func:`solve_block_step`: one stacked Gram form, one batched small
-    Jacobi, one stacked application — on a simulated machine this is
-    exactly the work the leaves do concurrently.
+    BLAS-3 in three phases: form the ``2b x 2b`` Gram matrix
+    ``G = Y^T Y`` with one GEMM, diagonalise it with LAPACK
+    (:func:`repro.eig.gram_pivot_eigh`: ``G = W diag(w) W^T``, a pair
+    already orthogonal to the convergence threshold keeps ``W = I``
+    exactly), then apply ``Y <- Y W`` and ``V <- V W`` with single
+    GEMMs.  Because the block pairs met in one schedule step have
+    disjoint column sets, the gram kernel solves *all* of them at once
+    through :func:`solve_block_step`: one stacked Gram form, one batched
+    ``eigh``, one stacked application — on a simulated machine this is
+    exactly the work the leaves do concurrently.  ``inner_sweeps`` does
+    not steer the host solve (the eigensolver diagonalises each pair
+    fully); the cost model still charges ``inner_sweeps`` local sweeps
+    per met pair, so model time does not depend on the host solver.
 
 An optional ``executor`` (a :class:`~repro.parallel.executor.StepExecutor`)
 splits a step's independent work across threads: the reference kernel's
@@ -44,11 +45,9 @@ trade-off of blocked Jacobi (cf. arXiv:1401.2720).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from ..eig.jacobi import gram_eigh_batched, gram_eigh_grouped
+from ..eig.pivot import gram_offdiag_rel, gram_pivot_eigh
 from ..svd.rotations import RotationStats, apply_step_rotations
 from ..util.errors import NumericalBreakdown
 from ..util.validation import require
@@ -82,7 +81,6 @@ _PRESCALE_PEAK = 1e100
 GRAM_NOISE = 8.0
 
 _EPS = float(np.finfo(np.float64).eps)
-_TINY = float(np.finfo(np.float64).tiny)
 _SORT_MODES = ("desc", "asc", None)
 
 
@@ -165,9 +163,9 @@ def solve_block_step(
 
     ``executor`` (a :class:`~repro.parallel.executor.StepExecutor`, or
     ``None`` for the calling thread) chunks the step's independent
-    work; the inner Gram Jacobi is never chunked (its convergence floor
-    couples the matrices of the stack), so the result is bit-identical
-    for any worker count.
+    work (the gram kernel's GEMM phases; its batched pivot solve runs in
+    the calling thread), so the result is bit-identical for any worker
+    count.
     """
     require(sort in _SORT_MODES, f"sort must be one of {_SORT_MODES}, got {sort!r}")
     if len(pair_cols) == 0:
@@ -204,8 +202,8 @@ def _solve_step_body(
     """The dispatch body of :func:`solve_block_step` (validated input)."""
     if kernel == "gram":
         try:
-            return _solve_gram_many(X, V, pair_cols, tol, sort, inner_sweeps,
-                                    sanitizer, executor)
+            return _solve_gram_many(X, V, pair_cols, tol, sort, sanitizer,
+                                    executor)
         except NumericalBreakdown:
             pass  # isolate the poisoned pairs via the per-pair chain
     chain = FALLBACK_CHAINS[kernel]
@@ -252,8 +250,7 @@ def _solve_pair_chain(
     for kern in chain:
         try:
             if kern == "gram":
-                st, mx = _solve_gram_many(X, V, [cols], tol, sort,
-                                          inner_sweeps)
+                st, mx = _solve_gram_many(X, V, [cols], tol, sort)
             else:
                 st, mx = _solve_reference_guarded(X, V, cols, tol, sort,
                                                   inner_sweeps)
@@ -339,16 +336,19 @@ def _solve_reference(
 
 
 def _sort_perm(w: np.ndarray, sort: str | None) -> np.ndarray | None:
+    """Stable permutation along the last axis that orders ``w`` by the
+    norm-ordering convention (``None`` when ``sort`` is ``None``)."""
     if sort == "desc":
-        return np.argsort(-w, kind="stable")
+        return np.argsort(-w, axis=-1, kind="stable")
     if sort == "asc":
-        return np.argsort(w, kind="stable")
+        return np.argsort(w, axis=-1, kind="stable")
     return None
 
 
-@lru_cache(maxsize=None)
-def _triu_cache(k: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(k, 1)
+def _targets(cols_arr: np.ndarray, sort: str | None) -> np.ndarray:
+    """Column ids a sorted solve lands each pair's outputs on: the
+    pair's own columns in ascending order (as given with ``sort=None``)."""
+    return cols_arr if sort is None else np.sort(cols_arr, axis=1)
 
 
 def _sort_exchanges(
@@ -400,71 +400,56 @@ def _apply_sort_only(
             sanitizer.record_touch(0, len(pair_cols), tgt)
 
 
-def _gram_measure(
-    G: np.ndarray,
-    cols_arr: np.ndarray,
-    k: int,
-    tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Finite check, symmetrisation and convergence measurement of a
-    ``(nb, k, k)`` Gram stack — the decision half of the gram kernel,
-    shared verbatim by the event-driven path (:func:`_solve_gram_many`)
-    and the simulator fast path (:func:`fastpath_gram_step`) so their
-    bit-identity holds by construction.  Returns
-    ``(G_sym, d, floor, worst)``; raises before any column is touched."""
+def _require_finite_gram(G: np.ndarray, cols_arr: np.ndarray) -> None:
+    """Breakdown sentinel: raise before any column is touched so the
+    fallback chain can re-solve the poisoned pairs from clean data."""
     finite = np.isfinite(G)
     if not finite.all():
-        # breakdown sentinel: raise before any column is touched so the
-        # fallback chain can re-solve the poisoned pairs from clean data
         i = int(np.argwhere(~finite)[0][0])
         raise NumericalBreakdown(
             f"non-finite Gram block for pair {i} "
             f"(columns {cols_arr[i].tolist()})",
             where=(int(cols_arr[i][0]), int(cols_arr[i][-1])))
-    # gemm output is symmetric only to rounding; the solver updates
-    # (p, q) and (q, p) through the same rotation, so symmetrise once
+
+
+def _gram_measure(
+    G: np.ndarray,
+    tol: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetrisation and convergence measurement of a finite
+    ``(nb, k, k)`` Gram stack — the decision half of the gram kernel,
+    shared verbatim by the event-driven path (:func:`_solve_gram_many`),
+    the simulator fast path (:func:`fastpath_gram_step`) and the batch
+    path (:func:`_solve_gram_batch`), so their bit-identity holds by
+    construction.  Returns ``(G_sym, d, floor, worst)`` with ``d`` the
+    ``(nb, k)`` squared norms and ``worst`` the per-matrix largest
+    relative off-diagonal (:func:`repro.eig.pivot.gram_offdiag_rel`)."""
+    # gemm output is symmetric only to rounding; symmetrise once so the
+    # measure and the eigensolver see the same matrix
     G = 0.5 * (G + G.transpose(0, 2, 1))
-    d = np.diagonal(G, axis1=1, axis2=2)  # (nb, k) squared norms
-    gmax = d.max(axis=1)
-    floor = GRAM_NOISE * k * _EPS * gmax  # zero blocks get a zero floor
-    fdiv = (floor / tol)[:, None] if tol > 0.0 else np.zeros((len(G), 1))
-    i0, i1 = _triu_cache(k)
-    denom = np.sqrt(np.abs(d[:, i0] * d[:, i1]))
-    rel = np.abs(G[:, i0, i1]) / (denom + fdiv + _TINY)
-    worst = float(rel.max(initial=0.0))
+    d = np.diagonal(G, axis1=1, axis2=2)
+    # zero blocks get a zero floor
+    floor = GRAM_NOISE * G.shape[1] * _EPS * d.max(axis=1)
+    worst = gram_offdiag_rel(G, floor, tol).max(axis=1)
     return G, d, floor, worst
 
 
 def _gram_factors(
     G: np.ndarray,
-    cols_arr: np.ndarray,
+    floor: np.ndarray,
     tol: float,
     sort: str | None,
-    inner_sweeps: int,
-    floor: np.ndarray,
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """Inner Gram Jacobi plus the sort convention — the factor half of
-    the gram kernel, shared by both execution paths.  Returns
-    ``(W, rotations, tgt_arr)`` with ``W``'s columns already permuted to
-    land each block's norms in target order (``tgt_arr`` the sorted
-    column targets, or ``cols_arr`` itself with ``sort=None``)."""
-    W, rotations, _, _ = gram_eigh_batched(G, tol=tol,
-                                           max_sweeps=inner_sweeps,
-                                           floor=floor)
-    if not np.isfinite(W).all():
-        raise NumericalBreakdown(
-            "non-finite rotation factor from the inner Gram Jacobi")
-    if sort is not None:
-        d2 = np.diagonal(G, axis1=1, axis2=2)
-        if sort == "desc":
-            perm = np.argsort(-d2, axis=1, kind="stable")
-        else:
-            perm = np.argsort(d2, axis=1, kind="stable")
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched LAPACK pivot solve plus the sort convention — the factor
+    half of the gram kernel, shared by every execution path.  Returns
+    ``(W, hot)``: ``W``'s columns already permuted to land each block's
+    norms in target order (see :func:`_targets`), and the per-matrix
+    count of off-diagonals above the threshold."""
+    W, w, hot = gram_pivot_eigh(G, floor, tol)
+    perm = _sort_perm(w, sort)
+    if perm is not None:
         W = np.take_along_axis(W, perm[:, None, :], axis=2)
-        tgt_arr = np.sort(cols_arr, axis=1)
-    else:
-        tgt_arr = cols_arr
-    return W, rotations, tgt_arr
+    return W, hot
 
 
 def _fp_buffer(scratch: "dict | None", key: str, rows: int,
@@ -520,7 +505,6 @@ def fastpath_gram_step(
     cols_arr: np.ndarray,
     tol: float,
     sort: str | None,
-    inner_sweeps: int,
     scratch: "dict | None" = None,
 ) -> tuple[RotationStats, float]:
     """One schedule step of the gram kernel on transposed storage — the
@@ -572,7 +556,9 @@ def fastpath_gram_step(
     Ys = Ys2d.reshape(nb, k, m)
     G = np.matmul(Ys, Ys.transpose(0, 2, 1),
                   out=_fp_buffer(scratch, "G", nb, (k, k)))
-    G, d, floor, worst = _gram_measure(G, cols_arr, k, tol)
+    _require_finite_gram(G, cols_arr)
+    G, d, floor, worst = _gram_measure(G, tol)
+    worst = float(worst.max())
     if worst <= tol:
         # already orthogonal: only the norm-ordering convention may act,
         # and it moves no data — any carried stack stays valid
@@ -580,9 +566,8 @@ def fastpath_gram_step(
         if src is not None:
             row_of_col[tgt] = row_of_col[src]
         return stats, worst
-    W, rotations, tgt_arr = _gram_factors(G, cols_arr, tol, sort,
-                                          inner_sweeps, floor)
-    stats.applied = rotations
+    W, hot = _gram_factors(G, floor, tol, sort)
+    stats.applied = int(hot.sum())
     if VT is not None:
         nv = VT.shape[1]
         Vs2d = _fp_buffer(scratch, "Vs", nb * k, (nv,))
@@ -616,7 +601,7 @@ def fastpath_gram_step(
             vout2d = _fp_buffer(scratch, "vout", nb * k, (nv,))
             np.matmul(WT, Vs, out=vout2d.reshape(nb, k, nv))
             VT[rows] = vout2d
-    row_of_col[tgt_arr.reshape(-1)] = rows
+    row_of_col[_targets(cols_arr, sort).reshape(-1)] = rows
     return stats, worst
 
 
@@ -626,19 +611,16 @@ def _solve_gram_many(
     pair_cols: "list[np.ndarray] | np.ndarray",
     tol: float,
     sort: str | None,
-    inner_sweeps: int,
     sanitizer=None,
     executor=None,
 ) -> tuple[RotationStats, float]:
     """BLAS-3 Gram-space solve of a whole step's met pairs at once.
 
-    One stacked Gram form ``G_i = Y_i^T Y_i``, one batched small Jacobi
-    (:func:`repro.eig.gram_eigh_batched`), one stacked application
-    ``Y_i <- Y_i W_i`` / ``V_i <- V_i W_i`` — every flop is a batched
-    GEMM over the ``(nb, 2b, *)`` stack.  The inner Jacobi is one
-    full-stack call: its convergence floor couples the matrices of the
-    stack, which is why the batch driver groups it per problem
-    (:func:`repro.eig.gram_eigh_grouped`) instead of splitting it.
+    One stacked Gram form ``G_i = Y_i^T Y_i``, one batched LAPACK pivot
+    solve (:func:`repro.eig.gram_pivot_eigh`), one stacked application
+    ``Y_i <- Y_i W_i`` / ``V_i <- V_i W_i`` over the ``(nb, 2b, *)``
+    stack.  Every pair's factor depends on that pair's Gram matrix
+    alone.
 
     With an ``executor``, the gather/Gram-form and apply/scatter phases
     are chunked along the pair axis: each chunk reads and writes only
@@ -660,14 +642,16 @@ def _solve_gram_many(
         G[lo:hi] = np.matmul(Ys[lo:hi], Ys[lo:hi].transpose(0, 2, 1))
 
     _dispatch(executor, nb, form)
-    G, d, floor, worst = _gram_measure(G, cols_arr, k, tol)
+    _require_finite_gram(G, cols_arr)
+    G, d, floor, worst = _gram_measure(G, tol)
+    worst = float(worst.max())
     if worst <= tol:
         # already orthogonal: only the norm-ordering convention may act
         _apply_sort_only(X, V, pair_cols, d, sort, stats, sanitizer)
         return stats, worst
-    W, rotations, tgt_arr = _gram_factors(G, cols_arr, tol, sort,
-                                          inner_sweeps, floor)
-    stats.applied = rotations
+    W, hot = _gram_factors(G, floor, tol, sort)
+    stats.applied = int(hot.sum())
+    tgt_arr = _targets(cols_arr, sort)
     WT = W.transpose(0, 2, 1)
 
     def apply(lo: int, hi: int) -> None:
@@ -711,20 +695,20 @@ def solve_block_step_batch(
 
     The contract is the batch API's: **bit-identical to solving each
     matrix alone**.  The gram kernel fuses the problem axis into its
-    stacked GEMM phases — one ``(len(items) * n_pairs, 2b, m)``
-    gather/Gram-form and one apply/scatter — while the inner Gram
-    Jacobi runs through :func:`repro.eig.gram_eigh_grouped` with one
-    *convergence group per problem*, so no problem's rotation sequence
-    ever depends on its batch neighbours.  The per-pair kernels loop
-    over the items.  ``executor`` chunks the *batch axis* (items, not
-    GEMM rows, are the unit of parallel work); chunks write disjoint
-    ``Xs[i]`` slices and merge in chunk order, so any worker count
-    yields the same bits.
+    stacked phases — one ``(len(items) * n_pairs, 2b, m)``
+    gather/Gram-form, one batched LAPACK pivot solve and one
+    apply/scatter.  LAPACK solves every Gram matrix of the stack on its
+    own and every skip/sort-only decision is taken per problem, so no
+    problem's factors ever depend on its batch neighbours.  The per-pair
+    kernels loop over the items.  ``executor`` chunks the *batch axis*
+    (items, not GEMM rows, are the unit of parallel work); chunks write
+    disjoint ``Xs[i]`` slices and merge in chunk order, so any worker
+    count yields the same bits.
 
-    A poisoned item (non-finite Gram blocks or rotation factors) is
-    delegated alone to :func:`solve_block_step`'s body, which re-raises
-    the same breakdown from the untouched columns and walks the same
-    per-pair fallback chain a solo run would.
+    A poisoned item (non-finite Gram blocks, or a stack LAPACK cannot
+    solve) is delegated alone to :func:`solve_block_step`'s body, which
+    re-raises the same breakdown from the untouched columns and walks the
+    same per-pair fallback chain a solo run would.
     """
     require(sort in _SORT_MODES, f"sort must be one of {_SORT_MODES}, got {sort!r}")
     _require_kernel(kernel)
@@ -774,17 +758,14 @@ def _apply_sort_only_batch(
     rewritten with their own values — a bitwise no-op — so the whole
     permutation is two gather/scatter pairs regardless of batch size.
     """
-    if sort is None:
+    perm = _sort_perm(d, sort)
+    if perm is None:
         return
     nb, k = cols_arr.shape
-    if sort == "desc":
-        perm = np.argsort(-d, axis=1, kind="stable")
-    else:
-        perm = np.argsort(d, axis=1, kind="stable")
     cols_tiled = np.tile(cols_arr, (len(rows), 1))
     src = np.take_along_axis(cols_tiled, perm, axis=1)
     src_rows = src.reshape(len(rows), nb * k)
-    tgt_flat = np.sort(cols_arr, axis=1).reshape(-1)
+    tgt_flat = _targets(cols_arr, sort).reshape(-1)
     XsT = Xs.transpose(0, 2, 1)
     XsT[np.ix_(rows, tgt_flat)] = XsT[rows[:, None], src_rows]
     if Vs is not None:
@@ -804,8 +785,8 @@ def _solve_gram_batch(
     """The gram kernel's problem-axis super-batch (see
     :func:`solve_block_step_batch`): :func:`_solve_gram_many` with the
     batch dimension extended from ``n_pairs`` to ``B x n_pairs`` and
-    every per-matrix decision (sort-only early exit, inner-Jacobi
-    convergence, breakdown delegation) taken per problem."""
+    every per-problem decision (breakdown delegation, sort-only early
+    exit) taken per problem."""
     nm = items.size
     k = len(pair_cols[0])
     require(all(len(c) == k for c in pair_cols),
@@ -821,36 +802,28 @@ def _solve_gram_batch(
     Ys = XsT[np.ix_(items, allcols)].reshape(nm * nb, k, m)
     G = np.matmul(Ys, Ys.transpose(0, 2, 1))
 
-    def delegate(j: int) -> None:
-        # the solo path re-forms this item's Gram blocks from its still
+    def delegate(js: np.ndarray) -> None:
+        # the solo path re-forms each item's Gram blocks from its still
         # untouched columns, hits the same breakdown, and walks the same
         # fallback chain — bit-identical to a standalone run
-        st, mx = _solve_step_body(
-            Xs[items[j]], None if Vs is None else Vs[items[j]], pair_cols,
-            tol, sort, inner_sweeps, "gram")
-        applied[j] = st.applied
-        worst_out[j] = mx
+        for j in js:
+            st, mx = _solve_step_body(
+                Xs[items[j]], None if Vs is None else Vs[items[j]],
+                pair_cols, tol, sort, inner_sweeps, "gram")
+            applied[j] = st.applied
+            worst_out[j] = mx
 
     finite = np.isfinite(G).reshape(nm, -1).all(axis=1)
+    delegate(np.flatnonzero(~finite))
     keep = np.flatnonzero(finite)
-    for j in np.flatnonzero(~finite):
-        delegate(int(j))
     if keep.size == 0:
         return applied, worst_out
     if keep.size < nm:
         sel = _expand_groups(keep, nb)
         Ys = Ys[sel]
         G = G[sel]
-    # gemm output is symmetric only to rounding (see _solve_gram_many)
-    G = 0.5 * (G + G.transpose(0, 2, 1))
-    d = np.diagonal(G, axis1=1, axis2=2)  # (keep * nb, k) squared norms
-    gmax = d.max(axis=1)
-    floor = GRAM_NOISE * k * _EPS * gmax
-    fdiv = (floor / tol)[:, None] if tol > 0.0 else np.zeros((len(G), 1))
-    i0, i1 = _triu_cache(k)
-    denom = np.sqrt(np.abs(d[:, i0] * d[:, i1]))
-    rel = np.abs(G[:, i0, i1]) / (denom + fdiv + _TINY)
-    relw = rel.reshape(keep.size, -1).max(axis=1)
+    G, d, floor, worst = _gram_measure(G, tol)
+    relw = worst.reshape(keep.size, nb).max(axis=1)
     worst_out[keep] = relw
 
     so_mask = relw <= tol
@@ -862,38 +835,23 @@ def _solve_gram_batch(
     sv_local = np.flatnonzero(~so_mask)
     if sv_local.size == 0:
         return applied, worst_out
+    sv = keep[sv_local]
     sel_sv = _expand_groups(sv_local, nb)
-    Gs = G[sel_sv]
-    Ws, rots, _, _ = gram_eigh_grouped(Gs, tol=tol, max_sweeps=inner_sweeps,
-                                       floor=floor[sel_sv], group_size=nb)
-    wfin = np.isfinite(Ws).reshape(sv_local.size, -1).all(axis=1)
-    for j_local in np.flatnonzero(~wfin):
-        delegate(int(keep[sv_local[j_local]]))
-    ok_local = np.flatnonzero(wfin)
-    if ok_local.size == 0:
+    try:
+        W, hot = _gram_factors(G[sel_sv], floor[sel_sv], tol, sort)
+    except NumericalBreakdown:
+        delegate(sv)
         return applied, worst_out
-    sel_ok = _expand_groups(ok_local, nb)
-    W_ok = Ws[sel_ok]
-    Ys_ok = Ys[_expand_groups(sv_local[ok_local], nb)]
-    if sort is not None:
-        d2 = np.diagonal(Gs, axis1=1, axis2=2)[sel_ok]
-        if sort == "desc":
-            perm = np.argsort(-d2, axis=1, kind="stable")
-        else:
-            perm = np.argsort(d2, axis=1, kind="stable")
-        W_ok = np.take_along_axis(W_ok, perm[:, None, :], axis=2)
-        tgt_flat = np.sort(cols_arr, axis=1).reshape(-1)
-    else:
-        tgt_flat = allcols
-    rows = items[keep[sv_local[ok_local]]]
-    WT_ok = W_ok.transpose(0, 2, 1)
-    out = np.matmul(WT_ok, Ys_ok)  # (Y_i W_i)^T per pair
+    rows = items[sv]
+    tgt_flat = _targets(cols_arr, sort).reshape(-1)
+    WT = W.transpose(0, 2, 1)
+    out = np.matmul(WT, Ys[sel_sv])  # (Y_i W_i)^T per pair
     XsT[np.ix_(rows, tgt_flat)] = out.reshape(rows.size, nb * k, m)
     if Vs is not None:
         n = Vs.shape[2]
         VsT = Vs.transpose(0, 2, 1)
         Vg = VsT[np.ix_(rows, allcols)].reshape(rows.size * nb, k, n)
-        vout = np.matmul(WT_ok, Vg)
+        vout = np.matmul(WT, Vg)
         VsT[np.ix_(rows, tgt_flat)] = vout.reshape(rows.size, nb * k, n)
-    applied[keep[sv_local[ok_local]]] = rots[ok_local]
+    applied[sv] = hot.reshape(sv.size, nb).sum(axis=1)
     return applied, worst_out

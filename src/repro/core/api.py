@@ -140,6 +140,36 @@ def _block_options(
     return base
 
 
+#: inputs whose peak magnitude lies outside ``[2^-255, 2^255]`` are
+#: solved at an exact power-of-two scale (see :func:`_prescale_exponents`)
+_SAFE_LO, _SAFE_HI = 2.0 ** -255, 2.0 ** 255
+
+
+def _prescale_exponents(stack: np.ndarray) -> np.ndarray:
+    """Per-matrix exponents ``e`` of a ``(B, m, n)`` stack: ``0`` when
+    the matrix's peak ``max|a|`` lies inside the safe window (or the
+    matrix is zero), else the ``e`` with ``2^-e * peak`` in ``[1/2, 1)``.
+
+    As in LAPACK's xLASCL, scaling by a power of two is exact barring
+    underflow, so an out-of-window input is solved as the same working
+    matrix as every ``2^k`` multiple of it: ``sigma(2^k a) == 2^k
+    sigma(a)`` bit for bit, with the same U and V, and the Gram products
+    at the peak can neither overflow nor underflow.  In-window inputs
+    take the unscaled path, bit for bit."""
+    peaks = np.abs(stack).reshape(len(stack), -1).max(axis=1, initial=0.0)
+    inside = (peaks == 0.0) | ((peaks >= _SAFE_LO) & (peaks <= _SAFE_HI))
+    return np.where(inside, 0, np.frexp(peaks)[1])
+
+
+def _unscale(result: SVDResult, e: int) -> SVDResult:
+    """Carry a prescaled solve's singular values back to the input's
+    scale (the factors U and V are scale-free)."""
+    if e:
+        result.sigma = np.ldexp(result.sigma, e)
+        result.sigma_by_slot = np.ldexp(result.sigma_by_slot, e)
+    return result
+
+
 def _flag_nonfinite(results: list[SVDResult], where: str) -> None:
     """Output postcondition: a result whose sigma, U or V holds a
     non-finite entry is never labelled converged (it is flipped to
@@ -201,9 +231,12 @@ def svd(
     arguments always win, and with no profile the ordering defaults to
     the paper's ``"fat_tree"``.
 
-    A result whose sigma, U or V holds a non-finite entry (e.g. from an
-    input near the overflow threshold) is reported with
-    ``converged=False`` and a :class:`ConvergenceWarning`.
+    An input whose peak magnitude lies outside ``[2^-255, 2^255]`` is
+    solved at an exact power-of-two scale and sigma scaled back, so
+    inputs near the over- or underflow thresholds keep their accuracy
+    (``history`` then reports the off-norms of the scaled matrix).  A
+    result whose sigma, U or V still holds a non-finite entry is
+    reported with ``converged=False`` and a :class:`ConvergenceWarning`.
     """
     a = as_float_matrix(a, "a")
     ordering, kernel, block_size = _profile_fill(
@@ -218,8 +251,10 @@ def svd(
             workers=workers, fault_plan=fault_plan, **ordering_kwargs)
         return result
     bopts = _block_options(options, kernel, block_size, executor, workers)
-    result = _svd(a, ordering, options, kernel, bopts, ordering_kwargs)
-    _flag_nonfinite([result], "svd")
+    e = int(_prescale_exponents(a[None])[0])
+    result = _svd(np.ldexp(a, -e) if e else a, ordering, options, kernel,
+                  bopts, ordering_kwargs)
+    _flag_nonfinite([_unscale(result, e)], "svd")
     return result
 
 
@@ -289,14 +324,17 @@ def parallel_svd(
 
     ``profile`` / ``$REPRO_PROFILE`` fill unset knobs from a tuned
     profile exactly as in :func:`svd`; the ordering default here is the
-    machine-level ``"hybrid"``.  The non-finite output postcondition of
-    :func:`svd` applies here too.
+    machine-level ``"hybrid"``.  The power-of-two prescale and the
+    non-finite output postcondition of :func:`svd` apply here too.
     """
     a = as_float_matrix(a, "a")
     ordering, kernel, block_size = _profile_fill(
         profile, a.shape[0], a.shape[1], None, "hybrid", ordering,
         options, kernel, block_size)
     bopts = _block_options(options, kernel, block_size, executor, workers)
+    e = int(_prescale_exponents(a[None])[0])
+    if e:
+        a = np.ldexp(a, -e)
     pow2 = _needs_power_of_two(ordering)
     if bopts is not None:
         options = bopts
@@ -315,7 +353,7 @@ def parallel_svd(
     result, report = driver.compute(padded, fault_plan=fault_plan)
     if padded.shape[1] != orig:
         result = strip_padding(result, orig)
-    _flag_nonfinite([result], "parallel_svd")
+    _flag_nonfinite([_unscale(result, e)], "parallel_svd")
     return result, report
 
 
@@ -368,8 +406,9 @@ def svd_batch(
     (:func:`~repro.blockjacobi.driver.block_jacobi_svd_batch`).
     ``executor="threads"`` chunks *batch items* across workers while the
     bits stay those of a serial loop.  Scalar mode (no ``block_size``)
-    falls back to a plain loop of :func:`svd`.  The non-finite output
-    postcondition of :func:`svd` applies per item.
+    falls back to a plain loop of :func:`svd`.  The power-of-two
+    prescale and the non-finite output postcondition of :func:`svd`
+    apply per item.
 
     A non-finite entry raises ``ValueError`` naming the offending batch
     index and coordinates (``matrices[i] contains ... at index (r, c)``).
@@ -391,6 +430,9 @@ def svd_batch(
         i = int(np.flatnonzero(~ok)[0])
         require_finite(stack[i], f"matrices[{i}]")
     bopts = _block_options(options, kernel, block_size, executor, workers)
+    exps = _prescale_exponents(stack)
+    if exps.any():
+        stack = np.ldexp(stack, -exps[:, None, None])
     pow2 = _needs_power_of_two(ordering)
     before = plan_cache_stats()
     t0 = time.perf_counter()
@@ -415,14 +457,15 @@ def svd_batch(
                                                 options=bopts,
                                                 **ordering_kwargs)
             ]
-        _flag_nonfinite(results, "svd_batch")
+        results = [_unscale(r, int(e)) for r, e in zip(results, exps)]
     else:
         scalar_opts = _with_kernel(options, kernel)
         results = [
-            svd(stack[i], ordering=ordering, options=scalar_opts,
-                **ordering_kwargs)
+            _unscale(svd(stack[i], ordering=ordering, options=scalar_opts,
+                         **ordering_kwargs), int(exps[i]))
             for i in range(nitems)
         ]
+    _flag_nonfinite(results, "svd_batch")
     elapsed = time.perf_counter() - t0
     after = plan_cache_stats()
     delta = PlanCacheStats(

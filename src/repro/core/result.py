@@ -37,6 +37,10 @@ class SVDResult:
     the quantity the paper's sorted-output claims are about — while
     ``sigma`` is canonically sorted for consumers.
 
+    ``rotations`` counts applied plane rotations; under the block
+    ``gram`` kernel it counts the Gram off-diagonal entries above the
+    convergence threshold that its eigensolver pivots annihilated.
+
     ``converged`` must be checked by callers that care about accuracy:
     a ``False`` value means the sweep budget ran out (or fault recovery
     was exhausted) and the factors are a partial decomposition.  The

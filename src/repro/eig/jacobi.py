@@ -26,7 +26,7 @@ from ..orderings.registry import make_ordering
 from ..util.validation import require
 
 __all__ = ["EigOptions", "EigResult", "gram_eigh", "gram_eigh_batched",
-           "gram_eigh_grouped", "jacobi_eigh", "symmetric_off_norm"]
+           "jacobi_eigh", "symmetric_off_norm"]
 
 _TINY = float(np.finfo(np.float64).tiny)
 
@@ -211,16 +211,15 @@ def gram_eigh_batched(
 ) -> tuple[np.ndarray, int, int, bool]:
     """Cyclic two-sided Jacobi on a *stack* of small symmetric matrices.
 
-    The low-overhead core of the Gram-space block kernel
-    (:mod:`repro.blockjacobi.kernel`): ``g`` of shape ``(B, k, k)`` —
-    typically the ``2b x 2b`` Gram matrices of all block pairs met in one
-    schedule step — is overwritten **in place** with ``W^T g W`` while
-    the orthogonal factors ``W`` (one per matrix) are accumulated.  The
-    ``B`` sub-problems are independent (their column sets are disjoint),
-    so each round-robin step rotates all of them at once: the rotation
+    ``g`` of shape ``(B, k, k)`` — e.g. the ``2b x 2b`` Gram matrices of
+    all block pairs met in one schedule step — is overwritten **in
+    place** with ``W^T g W`` while the orthogonal factors ``W`` (one per
+    matrix) are accumulated.  The ``B`` sub-problems are independent, so
+    each round-robin step rotates all of them at once: the rotation
     angles are computed on ``(B, k/2)`` arrays and applied as one batched
-    ``(B, k, k)`` GEMM per side, which is what makes the block kernel
-    BLAS-3 end to end.
+    ``(B, k, k)`` GEMM per side.  The gram block kernel solves its Gram
+    stacks with LAPACK instead (:func:`repro.eig.gram_pivot_eigh`); this
+    in-place Jacobi stays as the library's ordering-free small solver.
 
     A pair is rotated when it fails the *relative* threshold
     ``|g_pq| > tol * sqrt(g_pp g_qq)``; pairs below it ride along with
@@ -289,104 +288,6 @@ def gram_eigh_batched(
         if worst <= tol:
             converged = True
             break
-    return W, rotations, sweeps, converged
-
-
-def gram_eigh_grouped(
-    g: np.ndarray,
-    tol: float = 1e-12,
-    max_sweeps: int = 60,
-    floor: np.ndarray | float = 0.0,
-    group_size: int = 1,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`gram_eigh_batched` with *independent convergence per group*.
-
-    The stack ``g`` of ``G * group_size`` small symmetric matrices is
-    treated as ``G`` consecutive groups of ``group_size`` matrices each
-    — in the batched SVD, one group is the set of block pairs one
-    *problem matrix* meets in a schedule step.  Each group's sweep loop
-    exits as soon as *its own* worst relative off-diagonal clears
-    ``tol`` (the per-group analogue of the global early exit), and a
-    finished group takes no further part in the iteration: its matrices
-    are excluded from the gathered working stack, so the arithmetic any
-    single group experiences is bit-identical to a standalone
-    :func:`gram_eigh_batched` call on just that group.  That is the
-    property the many-matrix batch API's conformance contract rests on
-    — fusing problems into one super-batch must not change any
-    problem's rotation sequence.
-
-    Returns ``(W, rotations, sweeps, converged)`` where ``W`` is the
-    full ``(G * group_size, k, k)`` stack of accumulated factors and the
-    other three are per-group arrays of shape ``(G,)``.
-    """
-    require(g.ndim == 3 and g.shape[1] == g.shape[2],
-            "stack of square matrices expected")
-    nb, k = g.shape[0], g.shape[1]
-    require(k % 2 == 0, "gram_eigh needs an even dimension (2b columns)")
-    require(group_size >= 1 and nb % group_size == 0,
-            f"stack of {nb} matrices does not divide into groups "
-            f"of {group_size}")
-    ngroups = nb // group_size
-    if tol > 0.0:
-        fdiv = np.asarray(floor, dtype=np.float64).reshape(-1, 1) / tol
-        if fdiv.shape[0] == 1:
-            fdiv = np.broadcast_to(fdiv, (nb, 1))
-    else:
-        fdiv = np.zeros((nb, 1))
-    steps = _round_robin_steps(k)
-    eye = np.eye(k)
-    W = np.broadcast_to(eye, g.shape).copy()
-    rotations = np.zeros(ngroups, dtype=np.intp)
-    sweeps = np.zeros(ngroups, dtype=np.intp)
-    converged = np.zeros(ngroups, dtype=bool)
-    active = np.arange(ngroups, dtype=np.intp)
-    offsets = np.arange(group_size, dtype=np.intp)
-    for _ in range(max_sweeps):
-        if active.size == 0:
-            break
-        idx = (active[:, None] * group_size + offsets).reshape(-1)
-        ga = g[idx]
-        Wa = W[idx]
-        fa = fdiv[idx]
-        Ja = np.broadcast_to(eye, ga.shape).copy()
-        tmp = np.empty_like(ga)
-        Wbuf = np.empty_like(Wa)
-        worst = np.zeros(len(idx))
-        for p, q in steps:
-            gpp = ga[:, p, p]
-            gqq = ga[:, q, q]
-            gpq = ga[:, p, q]
-            denom = np.sqrt(np.abs(gpp * gqq))
-            rel = np.abs(gpq) / np.maximum(denom + fa, _TINY)
-            worst = np.maximum(worst, rel.max(axis=1))
-            hits = (np.abs(gpq) > tol * denom) & (denom > 0.0)
-            nhits = int(np.count_nonzero(hits))
-            if nhits == 0:
-                continue
-            rotations[active] += hits.reshape(active.size, -1).sum(axis=1)
-            safe = np.where(gpq == 0.0, 1.0, gpq)
-            theta = (gqq - gpp) / (2.0 * safe)
-            t = np.sign(theta) / (np.abs(theta) + np.sqrt(1.0 + theta * theta))
-            t = np.where(theta == 0.0, 1.0, t)
-            t = np.where(hits, t, 0.0)  # identity for pairs below threshold
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            Ja[:, p, p] = c
-            Ja[:, q, q] = c
-            Ja[:, p, q] = s
-            Ja[:, q, p] = -s
-            np.matmul(ga, Ja, out=tmp)
-            np.matmul(Ja.transpose(0, 2, 1), tmp, out=ga)
-            np.matmul(Wa, Ja, out=Wbuf)
-            Wa, Wbuf = Wbuf, Wa
-            Ja[:, p, q] = 0.0
-            Ja[:, q, p] = 0.0
-        g[idx] = ga
-        W[idx] = Wa
-        sweeps[active] += 1
-        done = worst.reshape(active.size, group_size).max(axis=1) <= tol
-        converged[active[done]] = True
-        active = active[~done]
     return W, rotations, sweeps, converged
 
 

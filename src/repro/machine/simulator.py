@@ -597,7 +597,7 @@ class TreeMachine:
                     try:
                         st, mx = fastpath_gram_step(
                             XT, VT, row_of_col, pair_cols, tol, sort,
-                            self.inner_sweeps, scratch=scratch)
+                            scratch=scratch)
                     except NumericalBreakdown:
                         # materialise and delegate the poisoned step to
                         # the event solver: same per-pair fallback chain

@@ -110,14 +110,17 @@ class TestBatchConformance:
         from repro import BlockJacobiOptions
         from repro.util.errors import ConvergenceWarning
 
-        opts = BlockJacobiOptions(block_size=4, max_sweeps=2)
+        # one sweep: the pivot solve diagonalises each met pair exactly,
+        # so a two-sweep budget already lets some items converge
+        opts = BlockJacobiOptions(block_size=4, max_sweeps=1)
         stack = make_mixed_batch(16, rng)
         with pytest.warns(ConvergenceWarning):
             batch = svd_batch(stack, ordering="ring_new", options=opts)
-        assert not batch.converged
+        assert [r.converged for r in batch] == [False] * len(stack)
         for i in range(len(stack)):
             with pytest.warns(ConvergenceWarning):
                 solo = svd(stack[i], ordering="ring_new", options=opts)
+            assert solo.converged is False
             assert_results_identical(batch[i], solo)
 
 

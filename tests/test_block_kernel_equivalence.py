@@ -14,11 +14,13 @@ scalar suite demands — not bitwise trajectory equality.
 import numpy as np
 import pytest
 
+from repro import svd
 from repro.blockjacobi import (
     BLOCK_KERNELS,
     BlockJacobiOptions,
     block_jacobi_svd,
     solve_block_pair,
+    solve_block_step,
 )
 from repro.svd import JacobiOptions, jacobi_svd
 
@@ -146,3 +148,49 @@ class TestBlockKernelEquivalence:
         X = np.eye(4)
         with pytest.raises(ValueError, match="sort must be one of"):
             solve_block_pair(X, None, np.arange(4), 1e-12, "up", 2)
+
+
+def _prescribed_spectrum(m: int, n: int, seed: int) -> np.ndarray:
+    """Singular values in geometric decay over 4 decades, the leading
+    ``n // 8`` replaced by a near-equal cluster at 1."""
+    rng = np.random.default_rng(seed)
+    sigma = np.logspace(0.0, -4.0, n)
+    cluster = max(2, n // 8)
+    sigma[:cluster] = 1.0 - 1e-9 * np.arange(cluster)
+    u = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return (u * sigma) @ v.T
+
+
+class TestGramPivotSolve:
+    """The gram kernel's LAPACK pivot solve inside a schedule step."""
+
+    def test_orthogonal_pair_comes_back_permuted_only(self):
+        rng = np.random.default_rng(5)
+        m = 20
+        X = rng.standard_normal((m, 8))
+        # pair 0: mutually orthogonal columns with norms out of order, so
+        # only the sort permutation may act on them
+        q = np.linalg.qr(rng.standard_normal((m, 4)))[0]
+        X[:, :4] = q * np.array([1.0, 3.0, 2.0, 4.0])
+        X0 = X.copy()
+        V = np.eye(8)
+        pairs = [np.arange(4), np.arange(4, 8)]
+        st, worst = solve_block_step(X, V, pairs, 1e-12, "desc", 2, "gram")
+        assert worst > 1e-12 and st.applied > 0  # the step did solve
+        perm = np.argsort(-np.linalg.norm(X0[:, :4], axis=0), kind="stable")
+        assert np.array_equal(X[:, :4], X0[:, perm])
+        assert np.array_equal(V[:4, :4], np.eye(4)[:, perm])
+        assert not np.array_equal(X[:, 4:], X0[:, 4:])
+
+    @pytest.mark.parametrize("b", [4, 16, 32])
+    def test_prescribed_spectrum_accuracy(self, b):
+        m, n = 144, 128
+        a = _prescribed_spectrum(m, n, seed=b)
+        r = svd(a, block_size=b)
+        assert r.converged
+        lap = np.linalg.svd(a, compute_uv=False)
+        bound = 64 * max(m, n) * np.finfo(np.float64).eps
+        assert np.max(np.abs(r.sigma - lap)) <= bound * lap[0]
+        resid = np.linalg.norm(a - (r.u * r.sigma) @ r.v.T)
+        assert resid <= bound * np.linalg.norm(a)

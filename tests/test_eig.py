@@ -1,4 +1,5 @@
-"""Tests of the two-sided Jacobi symmetric eigensolver."""
+"""Tests of the two-sided Jacobi symmetric eigensolver and of the gram
+block kernel's batched LAPACK pivot solver."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from repro.eig import (
     EigOptions,
     gram_eigh,
     gram_eigh_batched,
+    gram_pivot_eigh,
     jacobi_eigh,
     symmetric_off_norm,
 )
@@ -191,3 +193,71 @@ class TestGramEigh:
         g = random_gram(12, rng)
         _, _, sweeps, converged = gram_eigh(g, max_sweeps=1)
         assert sweeps == 1 and not converged
+
+
+def gram_floor(gs):
+    """The gram block kernel's per-matrix noise floor."""
+    from repro.blockjacobi.kernel import GRAM_NOISE
+
+    k = gs.shape[1]
+    return GRAM_NOISE * k * np.finfo(np.float64).eps * np.diagonal(
+        gs, axis1=1, axis2=2).max(axis=1)
+
+
+class TestGramPivotEigh:
+    """The batched LAPACK pivot solve behind the gram block kernel."""
+
+    TOL = 1e-12
+
+    def test_diagonalizes_and_counts_hot_entries(self, rng):
+        gs = np.stack([random_gram(8, rng) for _ in range(3)])
+        W, w, hot = gram_pivot_eigh(gs, gram_floor(gs), self.TOL)
+        assert W.shape == gs.shape and w.shape == (3, 8)
+        # a Gaussian Gram matrix has every off-diagonal above threshold
+        assert hot.tolist() == [28, 28, 28]
+        for i in range(3):
+            d = W[i].T @ gs[i] @ W[i]
+            assert np.max(np.abs(d - np.diag(w[i]))) <= 1e-12 * w[i].max()
+            assert np.max(np.abs(W[i].T @ W[i] - np.eye(8))) <= 1e-13
+
+    def test_orthogonal_matrix_keeps_identity(self, rng):
+        # skip rule: within tol, W is exactly I and w the diagonal; a hot
+        # neighbour in the same stack does not change that
+        diag = np.diag([4.0, 1.0, 9.0, 2.0])
+        gs = np.stack([diag, random_gram(4, rng)])
+        W, w, hot = gram_pivot_eigh(gs, gram_floor(gs), self.TOL)
+        assert hot[0] == 0 and hot[1] > 0
+        assert np.array_equal(W[0], np.eye(4))
+        assert np.array_equal(w[0], np.diag(diag))
+
+    def test_each_matrix_is_solved_on_its_own(self, rng):
+        # the batch-vs-loop contract: stacking never changes a factor
+        gs = np.stack([random_gram(6, rng) for _ in range(5)])
+        fl = gram_floor(gs)
+        W, w, hot = gram_pivot_eigh(gs, fl, self.TOL)
+        for i in range(5):
+            Wi, wi, hi = gram_pivot_eigh(gs[i:i + 1], fl[i:i + 1], self.TOL)
+            assert np.array_equal(W[i], Wi[0])
+            assert np.array_equal(w[i], wi[0]) and hot[i] == hi[0]
+
+    @pytest.mark.parametrize("case", ["rank_deficient", "zero"])
+    def test_edge_blocks_give_orthogonal_factors(self, case, rng):
+        if case == "zero":
+            gs = np.zeros((1, 8, 8))
+        else:
+            y = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 8))
+            gs = (y.T @ y)[None]
+        W, w, _ = gram_pivot_eigh(gs, gram_floor(gs), self.TOL)
+        assert np.max(np.abs(W[0].T @ W[0] - np.eye(8))) <= 1e-13
+        assert np.isfinite(w).all()
+        if case == "zero":
+            assert np.array_equal(W[0], np.eye(8))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_stack_raises(self, bad, rng):
+        from repro.util.errors import NumericalBreakdown
+
+        gs = np.stack([random_gram(4, rng) for _ in range(2)])
+        gs[1, 0, 0] = bad
+        with pytest.raises(NumericalBreakdown):
+            gram_pivot_eigh(gs, np.zeros(2), self.TOL)

@@ -50,36 +50,112 @@ class TestExtremeScales:
 
 
 class TestNonFiniteOutputIsFlagged:
-    """A non-finite sigma, U or V is never labelled converged: the gram
-    kernel's column norms overflow on a 24x16 Gaussian scaled by 1e155,
-    and every entry point must report that run as not converged."""
+    """A non-finite sigma, U or V is never labelled converged: every
+    entry point must report a run whose solver hands back a non-finite
+    sigma as not converged.  The power-of-two prescale keeps real
+    inputs from over- or underflowing, so the non-finite result is
+    planted in the solver each entry point calls."""
 
     @pytest.fixture
-    def huge(self):
-        return np.random.default_rng(0).standard_normal((24, 16)) * 1e155
+    def a(self):
+        return np.random.default_rng(0).standard_normal((24, 16))
 
-    def test_svd(self, huge):
-        with np.errstate(all="ignore"), \
-                pytest.warns(ConvergenceWarning, match="non-finite"):
-            r = svd(huge, block_size=4)
+    @staticmethod
+    def poisoned(solver, pick=lambda out: out):
+        """``solver`` with sigma[0] of its (picked) result set to inf."""
+        def run(*args, **kwargs):
+            out = solver(*args, **kwargs)
+            pick(out).sigma[0] = np.inf
+            return out
+        return run
+
+    def test_svd(self, a, monkeypatch):
+        from repro.core import api
+
+        monkeypatch.setattr(api, "_svd", self.poisoned(api._svd))
+        with pytest.warns(ConvergenceWarning, match="non-finite"):
+            r = svd(a, block_size=4)
         assert not np.isfinite(r.sigma).all()
         assert r.converged is False
 
-    def test_parallel_svd(self, huge):
-        with np.errstate(all="ignore"), \
-                pytest.warns(ConvergenceWarning, match="non-finite"):
-            r, _ = parallel_svd(huge, topology="perfect", ordering="ring_new",
+    def test_parallel_svd(self, a, monkeypatch):
+        from repro.parallel.driver import ParallelJacobiSVD
+
+        monkeypatch.setattr(
+            ParallelJacobiSVD, "compute",
+            self.poisoned(ParallelJacobiSVD.compute, lambda out: out[0]))
+        with pytest.warns(ConvergenceWarning, match="non-finite"):
+            r, _ = parallel_svd(a, topology="perfect", ordering="ring_new",
                                 block_size=4)
         assert not np.isfinite(r.sigma).all()
         assert r.converged is False
 
-    def test_svd_batch_flags_per_item(self, huge):
-        stack = np.stack([huge, huge / 1e155])
-        with np.errstate(all="ignore"), \
-                pytest.warns(ConvergenceWarning, match="1 of 2 results"):
+    def test_svd_batch_flags_per_item(self, a, monkeypatch):
+        from repro.core import api
+
+        monkeypatch.setattr(
+            api, "block_jacobi_svd_batch",
+            self.poisoned(api.block_jacobi_svd_batch, lambda out: out[0]))
+        stack = np.stack([a, a / 2])
+        with pytest.warns(ConvergenceWarning, match="1 of 2 results"):
             br = svd_batch(stack, block_size=4)
         assert [r.converged for r in br] == [False, True]
         assert np.isfinite(br[1].sigma).all()
+
+
+class TestPowerOfTwoPrescale:
+    """Inputs near the over- and underflow thresholds are solved at an
+    exact power-of-two scale: accurate, not merely flagged."""
+
+    EPS = np.finfo(np.float64).eps
+
+    def assert_accurate(self, r, a):
+        ref = np.linalg.svd(a, compute_uv=False)
+        assert r.converged is True
+        assert np.isfinite(r.u).all() and np.isfinite(r.v).all()
+        bound = 64 * max(a.shape) * self.EPS
+        assert np.max(np.abs(r.sigma - ref)) <= bound * ref[0]
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e-200, 1e-300])
+    def test_extreme_scales_are_accurate(self, scale):
+        # 1e155 used to return sigma = inf (Gram overflow) and 1e-200
+        # sigma = 0 with converged=True (Gram underflow)
+        a = np.random.default_rng(0).standard_normal((24, 16)) * scale
+        self.assert_accurate(svd(a, block_size=4), a)
+        self.assert_accurate(svd(a), a)
+        r, _ = parallel_svd(a, topology="perfect", ordering="ring_new",
+                            block_size=4)
+        self.assert_accurate(r, a)
+        br = svd_batch(np.stack([a, a / scale]), block_size=4)
+        self.assert_accurate(br[0], a)
+        self.assert_accurate(br[1], a / scale)
+
+    @pytest.mark.parametrize("k", [300, -300, 700, -700])
+    @pytest.mark.parametrize("entry", ["svd-gram", "svd-scalar",
+                                       "parallel", "batch"])
+    def test_scaling_by_power_of_two_is_bitwise(self, k, entry):
+        g = np.random.default_rng(abs(k)).standard_normal((20, 16))
+        a = np.ldexp(g, -int(np.frexp(np.abs(g).max())[1]))
+        assert 0.5 <= np.abs(a).max() < 1.0
+
+        def run(x):
+            if entry == "svd-gram":
+                return svd(x, block_size=4)
+            if entry == "svd-scalar":
+                return svd(x)
+            if entry == "parallel":
+                return parallel_svd(x, topology="perfect",
+                                    ordering="ring_new", block_size=4)[0]
+            return svd_batch(np.stack([x, a]), block_size=4)[0]
+
+        base, scaled = run(a), run(np.ldexp(a, k))
+        assert base.converged and scaled.converged
+        assert np.array_equal(scaled.sigma, np.ldexp(base.sigma, k))
+        assert np.array_equal(scaled.sigma_by_slot,
+                              np.ldexp(base.sigma_by_slot, k))
+        assert np.array_equal(scaled.u, base.u)
+        assert np.array_equal(scaled.v, base.v)
+        assert scaled.sweeps == base.sweeps
 
 
 class TestPathologicalSpectra:
