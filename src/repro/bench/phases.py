@@ -46,9 +46,10 @@ PHASES = ("compute", "route", "merge")
 _SITES: dict[str, tuple[tuple[str, str], ...]] = {
     "compute": (
         ("repro.blockjacobi.kernel", "solve_block_step"),
+        ("repro.blockjacobi.kernel", "solve_block_step_rows"),
         ("repro.blockjacobi.kernel", "solve_block_step_batch"),
         ("repro.blockjacobi.kernel", "fastpath_gram_step"),
-        ("repro.blockjacobi.driver", "solve_block_step"),
+        ("repro.blockjacobi.driver", "solve_block_step_rows"),
         ("repro.blockjacobi.driver", "solve_block_step_batch"),
         ("repro.svd.rotations", "apply_step_rotations"),
         ("repro.svd.rotations", "apply_step_rotations_batched"),

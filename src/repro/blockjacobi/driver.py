@@ -33,7 +33,8 @@ from ..orderings.registry import make_ordering
 from ..svd.convergence import off_norm
 from ..util.errors import ConvergenceWarning
 from ..util.validation import require
-from .kernel import BLOCK_KERNELS, solve_block_step, solve_block_step_batch
+from .kernel import (BLOCK_KERNELS, rows_to_columns, solve_block_step_batch,
+                     solve_block_step_rows)
 
 __all__ = ["BlockJacobiOptions", "block_jacobi_svd", "block_jacobi_svd_batch"]
 
@@ -160,6 +161,12 @@ def block_jacobi_svd(
 
     X = a.copy()
     V = np.eye(n) if compute_uv else None
+    # the sweeps run on the columns as rows: column c of X/V is row
+    # row_of_col[c] of XT/VT; X and V are rebuilt at every sweep end
+    XT = np.ascontiguousarray(a.T)
+    VT = np.eye(n) if compute_uv else None
+    row_of_col = np.arange(n, dtype=np.intp)
+    scratch: dict = {}  # step stacks, carried between full-coverage steps
     # block_cols[s] = the matrix columns currently stored in block slot s
     block_cols = np.arange(n, dtype=np.intp).reshape(n_blocks, b)
 
@@ -178,10 +185,10 @@ def block_jacobi_svd(
             for cs in plan.steps:
                 if cs.n_pairs:
                     pair_cols = block_cols[cs.pairs].reshape(cs.n_pairs, 2 * b)
-                    st, mx = solve_block_step(X, V, pair_cols, opts.tol,
-                                              opts.sort, opts.inner_sweeps,
-                                              opts.kernel, sanitizer=sanitizer,
-                                              executor=executor)
+                    st, mx = solve_block_step_rows(
+                        XT, VT, row_of_col, pair_cols, opts.tol, opts.sort,
+                        opts.inner_sweeps, opts.kernel, sanitizer=sanitizer,
+                        executor=executor, scratch=scratch)
                     worst = max(worst, mx)
                     rotations += st.applied
                 if cs.has_moves:
@@ -189,6 +196,7 @@ def block_jacobi_svd(
                     # the move phase keeps its snapshot semantics
                     block_cols[cs.dst] = block_cols[cs.src]
             sweeps = sweep + 1
+            rows_to_columns(XT, VT, row_of_col, X, V, scratch)
             if sanitizer is not None:
                 sanitizer.check_sweep(X, V, sweep=sweeps)
             history.append(
@@ -205,6 +213,8 @@ def block_jacobi_svd(
                 break
     finally:
         executor.close()
+    # the row storage is dead weight while the result is assembled
+    del XT, VT, scratch
 
     watchdog_msg = None
     if not converged:

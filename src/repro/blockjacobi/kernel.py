@@ -2,14 +2,19 @@
 
 A met block pair is a set of ``2b`` co-resident columns ``Y`` that must
 be orthogonalised against each other before the schedule moves the
-blocks on.  Two interchangeable solvers are provided:
+blocks on.  The drivers keep the matrix *columns as rows*: ``XT``
+(``(n, m)``) and ``VT`` (``(n, n)``) hold column ``c`` of ``X``/``V`` in
+row ``row_of_col[c]``, so a step gathers and scatters contiguous rows.
+:func:`solve_block_step_rows` solves one schedule step on that storage;
+:func:`solve_block_step` runs it on ordinary column storage through
+``X.T`` views.  Two interchangeable solvers are provided:
 
 ``reference``
     The original loop: ``inner_sweeps`` cyclic odd-even sweeps of
     disjoint plane rotations, each step a masked BLAS-1
-    :func:`~repro.svd.rotations.apply_step_rotations` call on the full
-    matrix.  The numerics the gram kernel is tested against, and the
-    last rung of its fallback chain.
+    :func:`~repro.svd.rotations.apply_step_rotations` call on the
+    pair's ``2b`` columns.  The numerics the gram kernel is tested
+    against, and the last rung of its fallback chain.
 
 ``gram``
     BLAS-3 in three phases: form the ``2b x 2b`` Gram matrix
@@ -18,19 +23,21 @@ blocks on.  Two interchangeable solvers are provided:
     already orthogonal to the convergence threshold keeps ``W = I``
     exactly), then apply ``Y <- Y W`` and ``V <- V W`` with single
     GEMMs.  Because the block pairs met in one schedule step have
-    disjoint column sets, the gram kernel solves *all* of them at once
-    through :func:`solve_block_step`: one stacked Gram form, one batched
-    ``eigh``, one stacked application — on a simulated machine this is
-    exactly the work the leaves do concurrently.  ``inner_sweeps`` does
-    not steer the host solve (the eigensolver diagonalises each pair
-    fully); the cost model still charges ``inner_sweeps`` local sweeps
-    per met pair, so model time does not depend on the host solver.
+    disjoint column sets, :func:`fastpath_gram_step` solves *all* of
+    them at once: one stacked Gram form, one batched ``eigh``, one
+    stacked application — on a simulated machine this is exactly the
+    work the leaves do concurrently.  Norm-ordering exchanges of
+    already-orthogonal blocks are ``row_of_col`` relabelings, so they
+    move no data.  ``inner_sweeps`` does not steer the host solve (the
+    eigensolver diagonalises each pair fully); the cost model still
+    charges ``inner_sweeps`` local sweeps per met pair, so model time
+    does not depend on the host solver.
 
 An optional ``executor`` (a :class:`~repro.parallel.executor.StepExecutor`)
 splits a step's independent work across threads: the reference kernel's
-loop over pairs, and the gram kernel's two GEMM phases along the pair
-axis.  Chunks write disjoint columns and each 2D GEMM is computed
-exactly as in one chunk, so any worker count yields the serial bits.
+loop over pairs, and the gram kernel's gather/GEMM phases along the pair
+axis.  Chunks write disjoint rows and each 2D GEMM is computed exactly
+as in one chunk, so any worker count yields the serial bits.
 
 Accuracy note for ``gram``: forming and applying in Gram space is
 norm-wise backward stable, but the BLAS-3 application mixes all ``2b``
@@ -53,9 +60,10 @@ from ..util.errors import NumericalBreakdown
 from ..util.validation import require
 
 __all__ = ["BLOCK_KERNELS", "FALLBACK_CHAINS", "GRAM_NOISE",
-           "fastpath_gram_flush", "fastpath_gram_step", "solve_block_pair",
-           "solve_block_step",
-           "solve_block_step_batch"]
+           "fastpath_gram_flush", "fastpath_gram_step", "rows_to_columns",
+           "solve_block_pair",
+           "solve_block_step", "solve_block_step_batch",
+           "solve_block_step_rows"]
 
 #: registered block-pair kernels; ``gram`` is the BLAS-3 fast path
 BLOCK_KERNELS = ("reference", "gram")
@@ -140,46 +148,90 @@ def solve_block_step(
     sanitizer=None,
     executor=None,
 ) -> tuple[RotationStats, float]:
+    """Solve every met block pair of one schedule step on column storage.
+
+    ``X`` (and ``V``) hold the matrix columns as columns and are
+    modified in place: :func:`solve_block_step_rows` runs on their
+    ``X.T`` views, and columns the solve relabelled are copied back to
+    their own storage column afterwards.  Parameters and results are
+    those of :func:`solve_block_step_rows`.
+    """
+    row_of_col = np.arange(X.shape[1], dtype=np.intp)
+    XT = X.T
+    VT = None if V is None else V.T
+    try:
+        return solve_block_step_rows(XT, VT, row_of_col, pair_cols, tol, sort,
+                                     inner_sweeps, kernel, sanitizer, executor)
+    finally:
+        # row_of_col is a permutation, so its moved entries permute
+        # among themselves; the fancy gather copies before the scatter
+        moved = np.flatnonzero(row_of_col != np.arange(len(row_of_col)))
+        if moved.size:
+            XT[moved] = XT[row_of_col[moved]]
+            if VT is not None:
+                VT[moved] = VT[row_of_col[moved]]
+
+
+def solve_block_step_rows(
+    XT: np.ndarray,
+    VT: np.ndarray | None,
+    row_of_col: np.ndarray,
+    pair_cols: "list[np.ndarray] | np.ndarray",
+    tol: float,
+    sort: str | None,
+    inner_sweeps: int,
+    kernel: str = "gram",
+    sanitizer=None,
+    executor=None,
+    scratch: "dict | None" = None,
+) -> tuple[RotationStats, float]:
     """Solve every met block pair of one schedule step.
 
-    ``pair_cols`` holds one ``2b``-element column-index array per block
-    pair (a list of arrays or one ``(n_pairs, 2b)`` array); the sets are
-    disjoint (the pairs run on distinct leaves), so the local solves are
-    independent and the gram kernel batches them into stacked BLAS-3
-    calls.  Returns merged rotation counters and the worst first-touch
-    relative off-diagonal across all pairs.
+    ``XT``/``VT`` hold the matrix columns as rows, column ``c`` in row
+    ``row_of_col[c]`` (see the module docstring); all three are updated
+    in place.  ``pair_cols`` holds one ``2b``-element column-index array
+    per block pair (a list of arrays or one ``(n_pairs, 2b)`` array);
+    the sets are disjoint (the pairs run on distinct leaves), so the
+    local solves are independent and the gram kernel batches them into
+    stacked BLAS-3 calls.  Returns merged rotation counters and the
+    worst first-touch relative off-diagonal across all pairs.  With
+    ``sort`` set, the local solve leaves norms ordered along ascending
+    column index (larger norms at smaller indices for ``"desc"``), the
+    convention that makes sorted output emerge at block granularity.
 
     On :class:`~repro.util.errors.NumericalBreakdown` the step degrades
     gracefully: the pairs are re-solved one by one, each walking down
     :data:`FALLBACK_CHAINS` (``stats.fallbacks`` counts the downgrades).
-    The stacked solvers only raise *before* touching ``X``/``V``, so the
+    The stacked solver only raises *before* touching any row, so the
     per-pair retry starts from unmodified data.
 
     ``sanitizer`` (a :class:`~repro.verify.sanitize.RuntimeSanitizer`)
     opens a write-set record for the step: the solvers report the column
-    sets they actually scatter into, and the record is cross-checked
-    against the per-pair column sets when the step closes (rule
-    ``SAN001``).
+    sets they actually write, and the record is cross-checked against
+    the per-pair column sets when the step closes (rule ``SAN001``).
 
     ``executor`` (a :class:`~repro.parallel.executor.StepExecutor`, or
     ``None`` for the calling thread) chunks the step's independent
-    work (the gram kernel's GEMM phases; its batched pivot solve runs in
-    the calling thread), so the result is bit-identical for any worker
-    count.
+    work (the gram kernel's gather and GEMM phases; its batched pivot
+    solve runs in the calling thread), so the result is bit-identical
+    for any worker count.  ``scratch`` is the gram kernel's step-stack
+    carry (see :func:`fastpath_gram_step`); a caller passing one must
+    :func:`fastpath_gram_flush` it before reading ``XT``/``VT``.
     """
     require(sort in _SORT_MODES, f"sort must be one of {_SORT_MODES}, got {sort!r}")
     if len(pair_cols) == 0:
         return RotationStats(), 0.0
     _require_kernel(kernel)
     if sanitizer is None:
-        return _solve_step_body(X, V, pair_cols, tol, sort, inner_sweeps,
-                                kernel, executor=executor)
+        return _solve_step_body(XT, VT, row_of_col, pair_cols, tol, sort,
+                                inner_sweeps, kernel, None, executor, scratch)
     expected = [frozenset(int(c) for c in pair_cols[i])
                 for i in range(len(pair_cols))]
     sanitizer.begin_step(len(pair_cols), expected)
     try:
-        out = _solve_step_body(X, V, pair_cols, tol, sort, inner_sweeps,
-                               kernel, sanitizer, executor)
+        out = _solve_step_body(XT, VT, row_of_col, pair_cols, tol, sort,
+                               inner_sweeps, kernel, sanitizer, executor,
+                               scratch)
     except BaseException:
         # the step never completed; its write-set record is meaningless
         sanitizer.abort_step()
@@ -189,36 +241,43 @@ def solve_block_step(
 
 
 def _solve_step_body(
-    X: np.ndarray,
-    V: np.ndarray | None,
+    XT: np.ndarray,
+    VT: np.ndarray | None,
+    row_of_col: np.ndarray,
     pair_cols: "list[np.ndarray] | np.ndarray",
     tol: float,
     sort: str | None,
     inner_sweeps: int,
     kernel: str,
-    sanitizer=None,
-    executor=None,
+    sanitizer,
+    executor,
+    scratch: "dict | None",
 ) -> tuple[RotationStats, float]:
-    """The dispatch body of :func:`solve_block_step` (validated input)."""
+    """The dispatch body of :func:`solve_block_step_rows` (validated input)."""
     if kernel == "gram":
+        k = len(pair_cols[0])
+        require(all(len(c) == k for c in pair_cols),
+                "all block pairs of a step must have equal width")
         try:
-            return _solve_gram_many(X, V, pair_cols, tol, sort, sanitizer,
-                                    executor)
+            return fastpath_gram_step(XT, VT, row_of_col, pair_cols, tol, sort,
+                                      scratch, sanitizer, executor)
         except NumericalBreakdown:
-            pass  # isolate the poisoned pairs via the per-pair chain
+            # isolate the poisoned pairs via the per-pair chain
+            fastpath_gram_flush(XT, VT, scratch)
     chain = FALLBACK_CHAINS[kernel]
 
     def solve_pairs(lo: int, hi: int) -> tuple[RotationStats, float]:
         stats = RotationStats()
         worst = 0.0
         for i in range(lo, hi):
-            st, mx = _solve_pair_chain(X, V, pair_cols[i], tol, sort,
-                                       inner_sweeps, chain)
+            st, mx = _solve_pair_chain(XT, VT, row_of_col,
+                                       np.asarray(pair_cols[i], dtype=np.intp),
+                                       tol, sort, inner_sweeps, chain)
             stats.merge(st)
             worst = max(worst, mx)
         return stats, worst
 
-    # pairs touch disjoint columns, so the chunks are independent; the
+    # pairs touch disjoint rows, so the chunks are independent; the
     # results merge in chunk order for a deterministic reduction
     out = _dispatch(executor, len(pair_cols), solve_pairs)
     if sanitizer is not None:
@@ -236,8 +295,9 @@ def _solve_step_body(
 
 
 def _solve_pair_chain(
-    X: np.ndarray,
-    V: np.ndarray | None,
+    XT: np.ndarray,
+    VT: np.ndarray | None,
+    row_of_col: np.ndarray,
     cols: np.ndarray,
     tol: float,
     sort: str | None,
@@ -250,16 +310,50 @@ def _solve_pair_chain(
     for kern in chain:
         try:
             if kern == "gram":
-                st, mx = _solve_gram_many(X, V, [cols], tol, sort)
+                st, mx = fastpath_gram_step(XT, VT, row_of_col, cols[None],
+                                            tol, sort)
             else:
-                st, mx = _solve_reference_guarded(X, V, cols, tol, sort,
-                                                  inner_sweeps)
+                st, mx = _solve_reference_rows(XT, VT, row_of_col, cols, tol,
+                                               sort, inner_sweeps)
             st.fallbacks += downgrades
             return st, mx
         except NumericalBreakdown as exc:
             last = exc
             downgrades += 1
     raise last
+
+
+def _solve_reference_rows(
+    XT: np.ndarray,
+    VT: np.ndarray | None,
+    row_of_col: np.ndarray,
+    cols: np.ndarray,
+    tol: float,
+    sort: str | None,
+    inner_sweeps: int,
+) -> tuple[RotationStats, float]:
+    """The reference solver on one pair's columns, copied out of the row
+    storage into a C-ordered ``(m, 2b)`` block (the rotations' dot
+    products then see the operand layout of column storage, bit for
+    bit) and written back.  Column ``ids[j]`` is local column ``j``, an
+    order-preserving relabeling, so the rotation orientation and the
+    norm-ordering convention are those of the matrix column ids."""
+    ids = np.sort(cols)
+    rows = row_of_col[ids]
+    local = np.searchsorted(ids, cols)
+    Xl = np.ascontiguousarray(XT[rows].T)
+    Vl = None if VT is None else np.ascontiguousarray(VT[rows].T)
+    try:
+        out = _solve_reference_guarded(Xl, Vl, local, tol, sort, inner_sweeps)
+    except NumericalBreakdown as exc:
+        # name the pair by its matrix columns, not its block positions
+        where = tuple(int(ids[i]) for i in exc.where)
+        raise NumericalBreakdown(str(exc).replace(str(exc.where), str(where), 1),
+                                 where=where) from exc
+    XT[rows] = Xl.T
+    if VT is not None:
+        VT[rows] = Vl.T
+    return out
 
 
 def _solve_reference_guarded(
@@ -360,9 +454,8 @@ def _sort_exchanges(
     """Column permutation implied by the norm-ordering convention on
     already-orthogonal blocks: concatenated ``(src, tgt)`` column ids of
     every pair that needs exchanging (``(None, None)`` when none does),
-    with ``stats.exchanged`` counted.  Shared by the in-place event path
-    (:func:`_apply_sort_only`) and the simulator fast path, which applies
-    the same permutation as a pure row relabelling."""
+    with ``stats.exchanged`` counted.  :func:`fastpath_gram_step` applies
+    it as a pure row relabelling."""
     srcs = []
     tgts = []
     for i in range(len(pair_cols)):
@@ -379,25 +472,6 @@ def _sort_exchanges(
     if not srcs:
         return None, None
     return np.concatenate(srcs), np.concatenate(tgts)
-
-
-def _apply_sort_only(
-    X: np.ndarray,
-    V: np.ndarray | None,
-    pair_cols: list[np.ndarray],
-    d: np.ndarray,
-    sort: str | None,
-    stats: RotationStats,
-    sanitizer=None,
-) -> None:
-    """Apply the norm-ordering convention to already-orthogonal blocks."""
-    src, tgt = _sort_exchanges(pair_cols, d, sort, stats)
-    if src is not None:
-        X[:, tgt] = X[:, src]
-        if V is not None:
-            V[:, tgt] = V[:, src]
-        if sanitizer is not None:
-            sanitizer.record_touch(0, len(pair_cols), tgt)
 
 
 def _require_finite_gram(G: np.ndarray, cols_arr: np.ndarray) -> None:
@@ -418,10 +492,9 @@ def _gram_measure(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Symmetrisation and convergence measurement of a finite
     ``(nb, k, k)`` Gram stack — the decision half of the gram kernel,
-    shared verbatim by the event-driven path (:func:`_solve_gram_many`),
-    the simulator fast path (:func:`fastpath_gram_step`) and the batch
-    path (:func:`_solve_gram_batch`), so their bit-identity holds by
-    construction.  Returns ``(G_sym, d, floor, worst)`` with ``d`` the
+    shared verbatim by the step solver (:func:`fastpath_gram_step`) and
+    the batch path (:func:`_solve_gram_batch`), so their bit-identity
+    holds by construction.  Returns ``(G_sym, d, floor, worst)`` with ``d`` the
     ``(nb, k)`` squared norms and ``worst`` the per-matrix largest
     relative off-diagonal (:func:`repro.eig.pivot.gram_offdiag_rel`)."""
     # gemm output is symmetric only to rounding; symmetrise once so the
@@ -454,10 +527,10 @@ def _gram_factors(
 
 def _fp_buffer(scratch: "dict | None", key: str, rows: int,
                tail: tuple[int, ...]) -> np.ndarray:
-    """Sweep-persistent step buffer for the fast path.
+    """Sweep-persistent step buffer of :func:`fastpath_gram_step`.
 
     Large per-step temporaries (the gathered ``(nb*2b, m)`` stacks and
-    their rotated outputs) dominate the fast path's non-GEMM cost when
+    their rotated outputs) dominate the step's non-GEMM cost when
     freshly allocated each step: at n = 512 the malloc/page-fault churn
     of four ~2 MB arrays per step costs more than the gathers
     themselves.  Buffers live in ``scratch`` keyed by name, are grown
@@ -498,6 +571,26 @@ def fastpath_gram_flush(
         VT[rows] = scratch["vstk"][:len(rows)]
 
 
+def rows_to_columns(
+    XT: np.ndarray,
+    VT: np.ndarray | None,
+    row_of_col: np.ndarray,
+    X: np.ndarray,
+    V: np.ndarray | None,
+    scratch: "dict | None" = None,
+) -> None:
+    """Write the row storage back into column storage: column ``c`` of
+    ``X``/``V`` from row ``row_of_col[c]`` of ``XT``/``VT``, a carried
+    stack flushed first.  The gathered copy reuses the scratch's gather
+    buffers, so a sweep end allocates nothing."""
+    fastpath_gram_flush(XT, VT, scratch)
+    for src, dst, key in ((XT, X, "Ys"), (VT, V, "Vs")):
+        if dst is not None:
+            buf = _fp_buffer(scratch, key, len(row_of_col), src.shape[1:])
+            np.take(src, row_of_col, axis=0, out=buf, mode="clip")
+            dst[:] = buf.T
+
+
 def fastpath_gram_step(
     XT: np.ndarray,
     VT: np.ndarray | None,
@@ -506,56 +599,65 @@ def fastpath_gram_step(
     tol: float,
     sort: str | None,
     scratch: "dict | None" = None,
+    sanitizer=None,
+    executor=None,
 ) -> tuple[RotationStats, float]:
-    """One schedule step of the gram kernel on transposed storage — the
-    simulator fast path's solver.
+    """One schedule step of the gram kernel: every met pair at once.
 
-    ``XT`` (``(n, m)``) and ``VT`` (``(n, n)``) hold the matrix columns
-    as contiguous *rows*; ``row_of_col`` maps column id -> physical row
-    (updated in place).  The step gathers its rows into the same
-    C-contiguous ``(nb, 2b, m)`` stacks as the event path's
-    :func:`_solve_gram_many`, runs the shared measurement/factor helpers,
-    and scatters results back into the gathered rows — so every GEMM
-    sees bit-identical operands in bit-identical layouts, and row-major
-    fancy gathers replace the event path's strided column gathers (the
-    fast path's actual win).  Norm-ordering exchanges of
-    already-orthogonal blocks become pure ``row_of_col`` relabelings:
-    zero data movement, same ``stats.exchanged`` count.  ``scratch``
-    (see :func:`_fp_buffer`) carries the step stacks across a sweep so
-    steady-state steps are allocation-free; ``np.take(..., mode="clip")``
-    and ``np.matmul(..., out=)`` copy the same bits as the allocating
-    forms.
+    ``XT``/``VT`` hold the matrix columns as rows and ``row_of_col``
+    maps column id -> row (updated in place; see the module docstring).
+    ``cols_arr`` is the ``(nb, 2b)`` array of the step's pair columns.
+    The step gathers the pairs' rows into a C-contiguous ``(nb, 2b, m)``
+    stack, forms ``G_i = Y_i^T Y_i`` with one stacked GEMM, runs the
+    shared measurement/factor helpers (one batched LAPACK pivot solve)
+    and applies ``(Y_i W_i)^T = W_i^T Y_i^T`` / ``(V_i W_i)^T`` back into
+    the gathered rows, the outputs landing on the pair's columns in
+    target order (see :func:`_targets`) through ``row_of_col``.  Every
+    pair's factor depends on that pair's Gram matrix alone.
+    Norm-ordering exchanges of already-orthogonal blocks are pure
+    ``row_of_col`` relabelings: zero data movement, same
+    ``stats.exchanged`` count.
+
+    ``scratch`` (see :func:`_fp_buffer`) keeps the step buffers across a
+    sweep so steady-state steps are allocation-free, and carries stacks:
+    a step that rotates every row leaves its output in the scratch stack
+    and the next full-coverage step gathers straight from it (one warm
+    permuted copy instead of a scatter + re-gather through ``XT``/``VT``),
+    so ``XT``/``VT`` are stale until :func:`fastpath_gram_flush`.
+    ``np.take(..., mode="clip")`` and ``np.matmul(..., out=)`` copy the
+    same bits as the allocating forms.  ``sanitizer`` receives the
+    step's write records; ``executor`` chunks the gather/GEMM phases
+    along the pair axis (chunks write disjoint slices and rows).
 
     Raises :class:`~repro.util.errors.NumericalBreakdown` before
-    touching any row; the caller materialises ``X``/``V`` and delegates
-    the step to the event-path solver (same per-pair fallback chain).
+    touching any row (a carried stack stays carried), so the caller can
+    re-solve the step pair by pair from clean data.
     """
     stats = RotationStats()
     cols_arr = np.asarray(cols_arr, dtype=np.intp)
     nb, k = cols_arr.shape
-    m = XT.shape[1]
-    n_rows = XT.shape[0]
+    n_rows, m = XT.shape
     rows = row_of_col[cols_arr.reshape(-1)]
-    # stack carry: a step that rotates every column leaves its output in
-    # the scratch stack; the next full-coverage step gathers straight
-    # from it (one warm permuted copy instead of a scatter + re-gather
-    # through XT/VT).  Anything else flushes first, so the canonical
-    # buffers are current whenever they are actually read.
+    # anything but a full-coverage step flushes a carried stack first, so
+    # the canonical buffers are current whenever they are actually read
     full = scratch is not None and len(rows) == n_rows
-    stack_rows = scratch.get("stack_rows") if scratch is not None else None
-    if stack_rows is not None and not full:
+    if not full:
         fastpath_gram_flush(XT, VT, scratch)
-        stack_rows = None
-    Ys2d = _fp_buffer(scratch, "Ys", nb * k, (m,))
-    if stack_rows is not None:
-        idx = scratch["pos"][rows]
-        np.take(scratch["xstk"], idx, axis=0, out=Ys2d, mode="clip")
+    if scratch is not None and "stack_rows" in scratch:
+        xsrc, vsrc, idx = scratch["xstk"], scratch.get("vstk"), \
+            scratch["pos"][rows]
     else:
-        idx = None
-        np.take(XT, rows, axis=0, out=Ys2d, mode="clip")
+        xsrc, vsrc, idx = XT, VT, rows
+    Ys2d = _fp_buffer(scratch, "Ys", nb * k, (m,))
     Ys = Ys2d.reshape(nb, k, m)
-    G = np.matmul(Ys, Ys.transpose(0, 2, 1),
-                  out=_fp_buffer(scratch, "G", nb, (k, k)))
+    G = _fp_buffer(scratch, "G", nb, (k, k))
+
+    def form(lo: int, hi: int) -> None:
+        np.take(xsrc, idx[lo * k:hi * k], axis=0, out=Ys2d[lo * k:hi * k],
+                mode="clip")
+        np.matmul(Ys[lo:hi], Ys[lo:hi].transpose(0, 2, 1), out=G[lo:hi])
+
+    _dispatch(executor, nb, form)
     _require_finite_gram(G, cols_arr)
     G, d, floor, worst = _gram_measure(G, tol)
     worst = float(worst.max())
@@ -565,107 +667,53 @@ def fastpath_gram_step(
         src, tgt = _sort_exchanges(cols_arr, d, sort, stats)
         if src is not None:
             row_of_col[tgt] = row_of_col[src]
+            if sanitizer is not None:
+                sanitizer.record_touch(0, nb, tgt)
         return stats, worst
     W, hot = _gram_factors(G, floor, tol, sort)
     stats.applied = int(hot.sum())
+    WT = W.transpose(0, 2, 1)
+    # the outputs go to the stack buffers: the gathers copied this step's
+    # operands out, and any other step flushed a carried stack first;
+    # a full step keeps them there, any other scatters them back into
+    # the gathered rows
+    xout = _fp_buffer(scratch, "xstk", nb * k, (m,))
+    xout3 = xout.reshape(nb, k, m)
     if VT is not None:
         nv = VT.shape[1]
         Vs2d = _fp_buffer(scratch, "Vs", nb * k, (nv,))
-        if idx is not None:
-            np.take(scratch["vstk"], idx, axis=0, out=Vs2d, mode="clip")
-        else:
-            np.take(VT, rows, axis=0, out=Vs2d, mode="clip")
         Vs = Vs2d.reshape(nb, k, nv)
-    if full:
-        # rotate into the stack: the gathers above copied this step's
-        # operands out, so the stack buffers are free to take the
-        # (Y_i W_i)^T outputs; XT/VT go stale until the next flush
-        xstk = _fp_buffer(scratch, "xstk", n_rows, (m,))
-        WT = W.transpose(0, 2, 1)
-        np.matmul(WT, Ys, out=xstk.reshape(nb, k, m))
+        vout = _fp_buffer(scratch, "vstk", nb * k, (nv,))
+        vout3 = vout.reshape(nb, k, nv)
+
+        # every V row is gathered before any is written: a carried V
+        # stack is both the source and the output buffer
+        def gather_v(lo: int, hi: int) -> None:
+            np.take(vsrc, idx[lo * k:hi * k], axis=0, out=Vs2d[lo * k:hi * k],
+                    mode="clip")
+
+        _dispatch(executor, nb, gather_v)
+
+    def apply(lo: int, hi: int) -> None:
+        np.matmul(WT[lo:hi], Ys[lo:hi], out=xout3[lo:hi])
         if VT is not None:
-            vstk = _fp_buffer(scratch, "vstk", n_rows, (nv,))
-            np.matmul(WT, Vs, out=vstk.reshape(nb, k, nv))
+            np.matmul(WT[lo:hi], Vs[lo:hi], out=vout3[lo:hi])
+        if not full:
+            r = rows[lo * k:hi * k]
+            XT[r] = xout[lo * k:hi * k]
+            if VT is not None:
+                VT[r] = vout[lo * k:hi * k]
+
+    _dispatch(executor, nb, apply)
+    if full:
         scratch["stack_rows"] = rows
         pos = scratch.get("pos")
         if pos is None or len(pos) != n_rows:
             pos = np.empty(n_rows, dtype=np.intp)
             scratch["pos"] = pos
         pos[rows] = np.arange(n_rows, dtype=np.intp)
-    else:
-        out2d = _fp_buffer(scratch, "out", nb * k, (m,))
-        WT = W.transpose(0, 2, 1)
-        np.matmul(WT, Ys, out=out2d.reshape(nb, k, m))  # (Y_i W_i)^T
-        XT[rows] = out2d
-        if VT is not None:
-            vout2d = _fp_buffer(scratch, "vout", nb * k, (nv,))
-            np.matmul(WT, Vs, out=vout2d.reshape(nb, k, nv))
-            VT[rows] = vout2d
-    row_of_col[_targets(cols_arr, sort).reshape(-1)] = rows
-    return stats, worst
-
-
-def _solve_gram_many(
-    X: np.ndarray,
-    V: np.ndarray | None,
-    pair_cols: "list[np.ndarray] | np.ndarray",
-    tol: float,
-    sort: str | None,
-    sanitizer=None,
-    executor=None,
-) -> tuple[RotationStats, float]:
-    """BLAS-3 Gram-space solve of a whole step's met pairs at once.
-
-    One stacked Gram form ``G_i = Y_i^T Y_i``, one batched LAPACK pivot
-    solve (:func:`repro.eig.gram_pivot_eigh`), one stacked application
-    ``Y_i <- Y_i W_i`` / ``V_i <- V_i W_i`` over the ``(nb, 2b, *)``
-    stack.  Every pair's factor depends on that pair's Gram matrix
-    alone.
-
-    With an ``executor``, the gather/Gram-form and apply/scatter phases
-    are chunked along the pair axis: each chunk reads and writes only
-    its own ``[lo:hi]`` slice of the stacks and its own pairs' columns.
-    """
-    stats = RotationStats()
-    k = len(pair_cols[0])
-    require(all(len(c) == k for c in pair_cols),
-            "all block pairs of a step must have equal width")
-    cols_arr = np.asarray(pair_cols, dtype=np.intp)
-    nb = len(cols_arr)
-    m = X.shape[0]
-    XT = X.T
-    Ys = np.empty((nb, k, m))  # Ys[i] = Y_i^T
-    G = np.empty((nb, k, k))
-
-    def form(lo: int, hi: int) -> None:
-        Ys[lo:hi] = XT[cols_arr[lo:hi].reshape(-1)].reshape(hi - lo, k, m)
-        G[lo:hi] = np.matmul(Ys[lo:hi], Ys[lo:hi].transpose(0, 2, 1))
-
-    _dispatch(executor, nb, form)
-    _require_finite_gram(G, cols_arr)
-    G, d, floor, worst = _gram_measure(G, tol)
-    worst = float(worst.max())
-    if worst <= tol:
-        # already orthogonal: only the norm-ordering convention may act
-        _apply_sort_only(X, V, pair_cols, d, sort, stats, sanitizer)
-        return stats, worst
-    W, hot = _gram_factors(G, floor, tol, sort)
-    stats.applied = int(hot.sum())
     tgt_arr = _targets(cols_arr, sort)
-    WT = W.transpose(0, 2, 1)
-
-    def apply(lo: int, hi: int) -> None:
-        # a pair's targets are a permutation of its own columns, so
-        # chunks read and write disjoint column sets
-        t = tgt_arr[lo:hi].reshape(-1)
-        X[:, t] = np.matmul(WT[lo:hi], Ys[lo:hi]).reshape(
-            (hi - lo) * k, m).T  # (Y_i W_i)^T
-        if V is not None:
-            n = V.shape[0]
-            Vs = V.T[cols_arr[lo:hi].reshape(-1)].reshape(hi - lo, k, n)
-            V[:, t] = np.matmul(WT[lo:hi], Vs).reshape((hi - lo) * k, n).T
-
-    _dispatch(executor, nb, apply)
+    row_of_col[tgt_arr.reshape(-1)] = rows
     if sanitizer is not None:
         for lo, hi in _dispatch_bounds(executor, nb):
             sanitizer.record_touch(lo, hi, tgt_arr[lo:hi].reshape(-1))
@@ -706,7 +754,7 @@ def solve_block_step_batch(
     count yields the same bits.
 
     A poisoned item (non-finite Gram blocks, or a stack LAPACK cannot
-    solve) is delegated alone to :func:`solve_block_step`'s body, which
+    solve) is delegated alone to :func:`solve_block_step`, which
     re-raises the same breakdown from the untouched columns and walks the
     same per-pair fallback chain a solo run would.
     """
@@ -724,7 +772,7 @@ def solve_block_step_batch(
         applied = np.zeros(sub.size, dtype=np.intp)
         worst = np.zeros(sub.size)
         for j, i in enumerate(sub):
-            st, mx = _solve_step_body(
+            st, mx = solve_block_step(
                 Xs[i], None if Vs is None else Vs[i], pair_cols, tol, sort,
                 inner_sweeps, kernel)
             applied[j] = st.applied
@@ -751,7 +799,9 @@ def _apply_sort_only_batch(
     d: np.ndarray,
     sort: str | None,
 ) -> None:
-    """Vectorised :func:`_apply_sort_only` across problem matrices.
+    """The norm-ordering convention on already-orthogonal blocks,
+    vectorised across problem matrices and applied as physical column
+    moves (the batch keeps column storage).
 
     ``rows`` are batch indices, ``d`` the ``(len(rows) * nb, k)``
     squared norms aligned with them.  Pairs already in norm order are
@@ -783,7 +833,7 @@ def _solve_gram_batch(
     inner_sweeps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The gram kernel's problem-axis super-batch (see
-    :func:`solve_block_step_batch`): :func:`_solve_gram_many` with the
+    :func:`solve_block_step_batch`): :func:`fastpath_gram_step` with the
     batch dimension extended from ``n_pairs`` to ``B x n_pairs`` and
     every per-problem decision (breakdown delegation, sort-only early
     exit) taken per problem."""
@@ -807,7 +857,7 @@ def _solve_gram_batch(
         # untouched columns, hits the same breakdown, and walks the same
         # fallback chain — bit-identical to a standalone run
         for j in js:
-            st, mx = _solve_step_body(
+            st, mx = solve_block_step(
                 Xs[items[j]], None if Vs is None else Vs[items[j]],
                 pair_cols, tol, sort, inner_sweeps, "gram")
             applied[j] = st.applied

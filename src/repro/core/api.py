@@ -187,6 +187,26 @@ def _flag_nonfinite(results: list[SVDResult], where: str) -> None:
             ConvergenceWarning, stacklevel=3)
 
 
+def _untranspose(result: SVDResult, n: int) -> SVDResult:
+    """The SVD of a wide ``A`` (``m < n``) from that of its tall
+    transpose: ``A^T = U diag(s) V^T`` gives ``A = V diag(s) U^T``,
+    reported in ``A``'s shapes.  ``sigma`` gets the ``n - m`` exactly
+    zero singular values appended, ``u`` (``m x n``) is ``V`` on the
+    nonzero singular values and zero elsewhere (the drivers'
+    convention), and ``v`` (``n x n``) is ``U``'s columns on the nonzero
+    singular values completed to an orthonormal basis."""
+    m = len(result.sigma)
+    result.sigma = np.concatenate([result.sigma, np.zeros(n - m)])
+    nz = result.sigma > 0  # sorted descending: a prefix
+    u = np.zeros((m, n))
+    u[:, nz] = result.v[:, nz[:m]]
+    basis = result.u[:, nz[:m]]
+    q, _ = np.linalg.qr(basis, mode="complete")
+    result.u = u
+    result.v = np.hstack([basis, q[:, basis.shape[1]:]])
+    return result
+
+
 def svd(
     a: np.ndarray,
     ordering: "str | Ordering | None" = None,
@@ -199,7 +219,7 @@ def svd(
     profile: "str | Mapping | None" = None,
     **ordering_kwargs: object,
 ) -> SVDResult:
-    """One-sided Jacobi SVD of ``a`` (m x n, m >= n) under a parallel ordering.
+    """One-sided Jacobi SVD of an ``m x n`` matrix ``a`` under a parallel ordering.
 
     Matrices whose width is not admissible for the chosen ordering
     (power of two for the tree orderings, even otherwise) are transparently
@@ -230,6 +250,11 @@ def svd(
     tuned entry of a ``repro-harness tune`` profile — explicit
     arguments always win, and with no profile the ordering defaults to
     the paper's ``"fat_tree"``.
+
+    A wide input (``m < n``) is solved as its tall transpose, since
+    ``sigma(A) = sigma(A^T)``; the result keeps ``A``'s shapes (see
+    :func:`_untranspose`), and ``history``/``sigma_by_slot`` describe
+    the transposed run.
 
     An input whose peak magnitude lies outside ``[2^-255, 2^255]`` is
     solved at an exact power-of-two scale and sigma scaled back, so
@@ -267,7 +292,10 @@ def _svd(
     ordering_kwargs: dict,
 ) -> SVDResult:
     """The decomposition behind :func:`svd` (knobs resolved)."""
-    n = a.shape[1]
+    m, n = a.shape
+    if m < n:
+        return _untranspose(_svd(np.ascontiguousarray(a.T), ordering, options,
+                                 kernel, bopts, ordering_kwargs), n)
     pow2 = _needs_power_of_two(ordering)
     if bopts is not None:
         b = bopts.block_size
@@ -437,6 +465,11 @@ def svd_batch(
     before = plan_cache_stats()
     t0 = time.perf_counter()
     if bopts is not None:
+        wide = stack.shape[1] < n
+        if wide:
+            # the batch twin of svd()'s wide-input transpose
+            stack = np.ascontiguousarray(stack.transpose(0, 2, 1))
+            n = stack.shape[2]
         b = bopts.block_size
         n_blocks, rem = divmod(n, b)
         admissible = rem == 0 and (
@@ -457,6 +490,8 @@ def svd_batch(
                                                 options=bopts,
                                                 **ordering_kwargs)
             ]
+        if wide:
+            results = [_untranspose(r, stack.shape[1]) for r in results]
         results = [_unscale(r, int(e)) for r, e in zip(results, exps)]
     else:
         scalar_opts = _with_kernel(options, kernel)

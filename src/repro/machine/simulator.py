@@ -13,10 +13,14 @@ times, message counts and contention factors.
 
 With ``block_size=b`` the machine runs at *block* granularity instead:
 each slot holds a ``b``-column block, a met pair solves a local
-``2b``-column subproblem through a :mod:`repro.blockjacobi.kernel`
-solver (bit-compatible with :func:`repro.blockjacobi.block_jacobi_svd`),
-every message carries ``b`` columns, and the step records charge the
-block work to the cost model.
+``2b``-column subproblem through
+:func:`repro.blockjacobi.kernel.solve_block_step_rows` (bit-compatible
+with :func:`repro.blockjacobi.block_jacobi_svd`, which runs the same
+solver on the same row-major storage), every message carries ``b``
+columns, and the step records charge the block work to the cost model.
+Block mode has one sweep loop: faults, the sanitizer and the executor
+hook into it, and a fault-free sweep (the fast path) only adds the gram
+kernel's step-stack carry.
 
 With a :class:`~repro.faults.injector.FaultInjector` installed (via
 :meth:`TreeMachine.install_faults`), every inter-leaf move additionally
@@ -300,13 +304,14 @@ class TreeMachine:
         records; it is ignored (and harmless) without an injector.
 
         Fault-free, sanitizer-off, single-worker sweeps auto-select the
-        vectorised fast path (see :meth:`_fastpath_eligible`): columns
-        never move during the sweep, costs come in closed form from the
-        compiled plan, and the result is bit-identical to the
-        event-driven reference path — X, V, worst, rotation counters and
-        every StepRecord field (enforced by the parity suite).  Any
-        armed injector or sanitizer keeps the event path, which remains
-        the reference semantics.
+        fast path (see :meth:`_fastpath_eligible`), bit-identical to the
+        event path — X, V, worst, rotation counters and every StepRecord
+        field (enforced by the parity suite).  At scalar granularity the
+        fast path is a vectorised loop (columns never move during the
+        sweep, costs come in closed form from the compiled plan) and any
+        armed injector or sanitizer keeps the event loop, the reference
+        semantics; at block granularity both run :meth:`_run_sweep_block`
+        and the fast path only switches the step-stack carry on.
         """
         require(self.X is not None, "load() a matrix first")
         require(schedule.n == self.n_slots, "schedule size != machine size")
@@ -314,9 +319,7 @@ class TreeMachine:
         fast = self._fastpath_eligible()
         self.last_sweep_path = "fast" if fast else "event"
         if self.block_size is not None:
-            if fast:
-                return self._run_sweep_fast_block(plan, tol, sort)
-            return self._run_sweep_block(plan, tol, sort, sweep_index)
+            return self._run_sweep_block(plan, tol, sort, sweep_index, fast)
         if fast:
             return self._run_sweep_fast_scalar(plan, tol, sort)
         X, V, labels = self.X, self.V, self.labels
@@ -332,6 +335,7 @@ class TreeMachine:
             if V is not None:
                 WT[:, m:] = V.T
             norms_sq = self._norms_sq
+        mark = corrupt_slot = None
         if self.injector is not None:
             from ..faults.corruptions import corrupt_payload
 
@@ -352,10 +356,12 @@ class TreeMachine:
         stats = SweepStats()
         rstats = RotationStats()
         worst = 0.0
+        # a message carries one column of m words (plus its V row block
+        # when vectors are accumulated)
+        words = m + (X.shape[1] if V is not None else 0)
         for k, cs in enumerate(plan.steps, start=1):
             rotations = 0
             compute_t = 0.0
-            retries = 0
             fault_events: list = []
             if self.injector is not None:
                 compute_t, fault_events = self._fault_step_begin(
@@ -382,10 +388,6 @@ class TreeMachine:
                 # performs exactly one rotation
                 compute_t += self.cost.compute_time(
                     self._busiest_leaf(cs), m)
-            comm_t = 0.0
-            messages = 0
-            max_level = 0
-            contention = 0.0
             if cs.has_moves:
                 src, dst = cs.src, cs.dst
                 if batched:
@@ -396,35 +398,9 @@ class TreeMachine:
                     if V is not None:
                         V[:, dst] = V[:, src]
                 labels[dst] = labels[src]
-                # a message carries one column of m words (plus its V row
-                # block when vectors are accumulated)
-                words = m + (X.shape[1] if V is not None else 0)
-                if self.injector is None:
-                    # healthy host map: routing depends only on (plan,
-                    # topology), so the memoised phase is exact
-                    phase = plan.route_phase(self.topology, k - 1)
-                    extra = 0.0
-                else:
-                    phase, extra, retries, move_events = self._fault_deliver(
-                        sweep_index, k, cs.moves, words, corrupt_slot)
-                    fault_events.extend(move_events)
-                messages = phase.n_messages
-                max_level = phase.max_level
-                contention = phase.contention
-                comm_t = self.cost.comm_time(phase, words) + extra
-            stats.steps.append(
-                StepRecord(
-                    step=k,
-                    rotations=rotations,
-                    messages=messages,
-                    max_level=max_level,
-                    contention=contention,
-                    compute_time=compute_t,
-                    comm_time=comm_t,
-                    retries=retries,
-                    fault_events=tuple(fault_events),
-                )
-            )
+            stats.steps.append(self._step_record(
+                plan, k, cs, rotations, compute_t, words, sweep_index,
+                fault_events, corrupt_slot))
         if batched:
             X[:] = WT[:, :m].T
             if V is not None:
@@ -432,34 +408,49 @@ class TreeMachine:
         return stats, rstats, worst
 
     def _fastpath_eligible(self) -> bool:
-        """True when the vectorised fast path may replace the
-        event-driven sweep: no fault injector (per-move delivery and
-        degraded host maps need real events), no runtime sanitizer (its
-        write-set records hang off the event path's solvers), no
-        multi-worker executor (the fast path is a single serial
-        pipeline), and no explicit ``force_event`` pin."""
+        """True when the fast path may replace the event-driven sweep: no
+        fault injector (per-move delivery and degraded host maps need
+        real events), no runtime sanitizer (its write-set records hang
+        off the event loop's kernels), no multi-worker executor (the
+        fast path is a single serial pipeline), and no explicit
+        ``force_event`` pin."""
         if self.force_event or self.injector is not None:
             return False
         if self._sanitizer is not None:
             return False
         return self._executor is None or self._executor.workers <= 1
 
-    def _fast_record(self, plan, k: int, cs: CompiledStep, rotations: int,
-                     compute_t: float, words: int) -> StepRecord:
-        """Closed-form :class:`StepRecord` of a healthy step: identical
-        to the event path's record by construction — same memoised
-        routing phase (derived from the compiled ``move_leaves``), same
-        cost-model calls, zero fault fields."""
+    def _step_record(self, plan, k: int, cs: CompiledStep, rotations: int,
+                     compute_t: float, words: int, sweep_index: int = 0,
+                     fault_events: list | None = None,
+                     corrupt_slot=None) -> StepRecord:
+        """The :class:`StepRecord` of step ``k``, its move phase routed
+        and charged; call it after the step's data moves.
+
+        On a healthy machine routing depends only on (plan, topology),
+        so the plan's memoised phase is exact and the record is closed
+        form.  With an injector armed the moves go through the transport
+        under the current host map (:meth:`_fault_deliver`): silently
+        corrupted payloads are damaged via ``corrupt_slot(dst_slot,
+        mode)`` and the transport's events join ``fault_events``."""
+        fault_events = list(fault_events or ())
         comm_t = 0.0
         messages = 0
         max_level = 0
         contention = 0.0
+        retries = 0
         if cs.has_moves:
-            phase = plan.route_phase(self.topology, k - 1)
+            if self.injector is None:
+                phase = plan.route_phase(self.topology, k - 1)
+                extra = 0.0
+            else:
+                phase, extra, retries, move_events = self._fault_deliver(
+                    sweep_index, k, cs.moves, words, corrupt_slot)
+                fault_events.extend(move_events)
             messages = phase.n_messages
             max_level = phase.max_level
             contention = phase.contention
-            comm_t = self.cost.comm_time(phase, words)
+            comm_t = self.cost.comm_time(phase, words) + extra
         return StepRecord(
             step=k,
             rotations=rotations,
@@ -468,8 +459,8 @@ class TreeMachine:
             contention=contention,
             compute_time=compute_t,
             comm_time=comm_t,
-            retries=0,
-            fault_events=(),
+            retries=retries,
+            fault_events=tuple(fault_events),
         )
 
     def _run_sweep_fast_scalar(
@@ -527,7 +518,7 @@ class TreeMachine:
                 rotations = cs.n_pairs
                 compute_t = self.cost.compute_time(cs.max_pairs_per_leaf, m)
             stats.steps.append(
-                self._fast_record(plan, k, cs, rotations, compute_t, words))
+                self._step_record(plan, k, cs, rotations, compute_t, words))
         final = fp.final_layout
         if batched:
             X[:] = WT[final, :m].T
@@ -541,135 +532,59 @@ class TreeMachine:
         labels[:] = labels0[final]
         return stats, rstats, worst
 
-    def _run_sweep_fast_block(
-        self,
-        plan,
-        tol: float,
-        sort: str | None,
-    ) -> tuple[SweepStats, RotationStats, float]:
-        """Vectorised fault-free sweep at block granularity.
-
-        Block indirections (``block_cols``/``labels``) stop evolving per
-        step: each step's met columns come from the plan's content pairs
-        through the sweep-start indirection, and both indirections jump
-        to their final state once at the end.  The gram kernel
-        additionally runs on transposed row-major buffers
-        (:func:`~repro.blockjacobi.kernel.fastpath_gram_step`): the
-        event path's strided column gather/scatter — its dominant cost
-        at large n — becomes contiguous row traffic, with sort-only
-        steps reduced to index relabelings.  A numerical breakdown
-        materialises ``X``/``V`` and delegates that step to the event
-        solver, preserving the fallback-chain semantics bit for bit.
-        """
-        from ..blockjacobi.kernel import (
-            fastpath_gram_flush,
-            fastpath_gram_step,
-            solve_block_step,
-        )
-        from ..util.errors import NumericalBreakdown
-
-        X, V = self.X, self.V
-        b = self.block_size
-        m = X.shape[0]
-        n_cols = X.shape[1]
-        fp = plan.fastpath()
-        block0 = self.block_cols.copy()
-        labels0 = self.labels.copy()
-        gram = self.kernel == "gram"
-        if gram:
-            XT = np.ascontiguousarray(X.T)
-            VT = np.ascontiguousarray(V.T) if V is not None else None
-            row_of_col = np.arange(n_cols, dtype=np.intp)
-            scratch: dict = {}  # step stacks, allocated once per sweep
-        stats = SweepStats()
-        rstats = RotationStats()
-        worst = 0.0
-        words = b * (m + (n_cols if V is not None else 0))
-        for k, cs in enumerate(plan.steps, start=1):
-            rotations = 0
-            compute_t = 0.0
-            if cs.n_pairs:
-                # (n_pairs, 2b): the event path's evolving ``block_cols``
-                # indirection, replayed from the sweep-start snapshot
-                pair_cols = block0[fp.content_pairs[k - 1]].reshape(
-                    cs.n_pairs, 2 * b)
-                if gram:
-                    try:
-                        st, mx = fastpath_gram_step(
-                            XT, VT, row_of_col, pair_cols, tol, sort,
-                            scratch=scratch)
-                    except NumericalBreakdown:
-                        # materialise and delegate the poisoned step to
-                        # the event solver: same per-pair fallback chain
-                        # on the same values, then re-ingest the buffers
-                        fastpath_gram_flush(XT, VT, scratch)
-                        X[:] = XT[row_of_col].T
-                        if V is not None:
-                            V[:] = VT[row_of_col].T
-                        st, mx = solve_block_step(
-                            X, V, pair_cols, tol, sort, self.inner_sweeps,
-                            self.kernel)
-                        XT[:] = X.T
-                        if VT is not None:
-                            VT[:] = V.T
-                        row_of_col = np.arange(n_cols, dtype=np.intp)
-                else:
-                    st, mx = solve_block_step(
-                        X, V, pair_cols, tol, sort, self.inner_sweeps,
-                        self.kernel)
-                rstats.merge(st)
-                worst = max(worst, mx)
-                rotations = cs.n_pairs
-                compute_t = self.cost.block_compute_time(
-                    cs.max_pairs_per_leaf, m, b, self.inner_sweeps)
-            stats.steps.append(
-                self._fast_record(plan, k, cs, rotations, compute_t, words))
-        final = fp.final_layout
-        if gram:
-            fastpath_gram_flush(XT, VT, scratch)
-            X[:] = XT[row_of_col].T
-            if V is not None:
-                V[:] = VT[row_of_col].T
-        self.block_cols[:] = block0[final]
-        self.labels[:] = labels0[final]
-        return stats, rstats, worst
-
     def _run_sweep_block(
         self,
         plan,
         tol: float,
         sort: str | None,
-        sweep_index: int = 0,
+        sweep_index: int,
+        fast: bool,
     ) -> tuple[SweepStats, RotationStats, float]:
         """Block-granularity sweep: met pairs solve 2b-column subproblems,
-        moves carry whole blocks, records charge block work."""
-        from ..blockjacobi.kernel import solve_block_step
+        moves carry whole blocks, records charge block work.
+
+        The sweep runs on the columns as rows
+        (:func:`~repro.blockjacobi.kernel.solve_block_step_rows`): ``X``/``V``
+        are transposed once into row-major buffers, each step gathers
+        and scatters contiguous rows through ``row_of_col``, and the
+        buffers are written back at sweep end.  Fault hooks reach a
+        slot's columns through ``row_of_col`` too.  A ``fast`` sweep
+        additionally lets the gram kernel carry full-coverage step stacks
+        from step to step; it is the only difference between the two
+        paths, and it does not change a bit.
+        """
+        from ..blockjacobi.kernel import rows_to_columns, solve_block_step_rows
 
         X, V, labels = self.X, self.V, self.labels
         block_cols = self.block_cols
         b = self.block_size
-        m = X.shape[0]
+        m, n_cols = X.shape
+        XT = np.ascontiguousarray(X.T)
+        VT = np.ascontiguousarray(V.T) if V is not None else None
+        row_of_col = np.arange(n_cols, dtype=np.intp)
+        scratch = {} if fast else None
+        mark = corrupt_slot = None
         if self.injector is not None:
             from ..faults.corruptions import corrupt_payload
 
             def mark(slots):
-                for s in slots:
-                    X[:, block_cols[s]] = np.nan
+                XT[row_of_col[block_cols[slots].reshape(-1)]] = np.nan
 
             def corrupt_slot(slot, mode):
-                # pick one column of the block: an integer index yields a
-                # writable view (a fancy-indexed block would be a copy and
-                # the damage would silently miss the matrix)
+                # pick one column of the block; an integer row index
+                # yields a writable view of the stored column
                 cols = block_cols[slot]
                 col = int(cols[int(self.injector.rng.integers(len(cols)))])
-                corrupt_payload(X[:, col], mode, self.injector.rng)
+                corrupt_payload(XT[row_of_col[col]], mode, self.injector.rng)
         stats = SweepStats()
         rstats = RotationStats()
         worst = 0.0
+        # a message carries one b-column block of b*m words (plus its V
+        # row block when vectors are accumulated)
+        words = b * (m + (n_cols if V is not None else 0))
         for k, cs in enumerate(plan.steps, start=1):
             rotations = 0
             compute_t = 0.0
-            retries = 0
             fault_events: list = []
             if self.injector is not None:
                 compute_t, fault_events = self._fault_step_begin(
@@ -677,10 +592,10 @@ class TreeMachine:
             if cs.n_pairs:
                 # (n_pairs, 2b): row i = the met columns of block pair i
                 pair_cols = block_cols[cs.pairs].reshape(cs.n_pairs, 2 * b)
-                st, mx = solve_block_step(X, V, pair_cols, tol, sort,
-                                          self.inner_sweeps, self.kernel,
-                                          sanitizer=self._sanitizer,
-                                          executor=self._executor)
+                st, mx = solve_block_step_rows(
+                    XT, VT, row_of_col, pair_cols, tol, sort,
+                    self.inner_sweeps, self.kernel, sanitizer=self._sanitizer,
+                    executor=self._executor, scratch=scratch)
                 rstats.merge(st)
                 worst = max(worst, mx)
                 # block granularity: one "rotation" per met block pair
@@ -688,43 +603,15 @@ class TreeMachine:
                 compute_t += self.cost.block_compute_time(
                     self._busiest_leaf(cs), m, b, self.inner_sweeps
                 )
-            comm_t = 0.0
-            messages = 0
-            max_level = 0
-            contention = 0.0
             if cs.has_moves:
-                src, dst = cs.src, cs.dst
                 # fancy assignment materialises the gather first, so the
                 # snapshot semantics of a move phase hold
-                block_cols[dst] = block_cols[src]
-                labels[dst] = labels[src]
-                # a message carries one b-column block of b*m words (plus
-                # its V row block when vectors are accumulated)
-                words = b * (m + (X.shape[1] if V is not None else 0))
-                if self.injector is None:
-                    phase = plan.route_phase(self.topology, k - 1)
-                    extra = 0.0
-                else:
-                    phase, extra, retries, move_events = self._fault_deliver(
-                        sweep_index, k, cs.moves, words, corrupt_slot)
-                    fault_events.extend(move_events)
-                messages = phase.n_messages
-                max_level = phase.max_level
-                contention = phase.contention
-                comm_t = self.cost.comm_time(phase, words) + extra
-            stats.steps.append(
-                StepRecord(
-                    step=k,
-                    rotations=rotations,
-                    messages=messages,
-                    max_level=max_level,
-                    contention=contention,
-                    compute_time=compute_t,
-                    comm_time=comm_t,
-                    retries=retries,
-                    fault_events=tuple(fault_events),
-                )
-            )
+                block_cols[cs.dst] = block_cols[cs.src]
+                labels[cs.dst] = labels[cs.src]
+            stats.steps.append(self._step_record(
+                plan, k, cs, rotations, compute_t, words, sweep_index,
+                fault_events, corrupt_slot))
+        rows_to_columns(XT, VT, row_of_col, X, V, scratch)
         return stats, rstats, worst
 
     def column_norms(self) -> np.ndarray:

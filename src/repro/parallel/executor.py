@@ -30,9 +30,8 @@ rules make that hold by construction:
 2. *Identical per-item arithmetic.*  Chunking only splits the batch
    dimension of batched GEMMs (each 2D GEMM in the batch is unchanged)
    or the loop over independent pairs; no floating-point operation is
-   reassociated.  Coupled reductions — notably the inner Gram Jacobi,
-   whose convergence floor couples matrices across the batch — are
-   *never* chunked (see :func:`repro.blockjacobi.kernel.solve_block_step`).
+   reassociated.  The batched pivot solve runs in the calling thread
+   (see :func:`repro.blockjacobi.kernel.fastpath_gram_step`).
 3. *Deterministic reduction.*  Convergence statistics are merged in
    chunk order, and the first exception (by chunk index, not by wall
    clock) is the one re-raised, mirroring the serial loop's semantics.

@@ -5,7 +5,7 @@ module verifies them while a run executes, the way TSAN/ASAN shadow a
 compiled binary.  Two families of checks:
 
 write-set records (``SAN001``)
-    :func:`~repro.blockjacobi.kernel.solve_block_step` opens a record
+    :func:`~repro.blockjacobi.kernel.solve_block_step_rows` opens a record
     per schedule step; solvers report the column sets they actually
     scatter into (``record_touch``).  When the step closes, the record
     must agree with the statically derived per-pair write-sets: every

@@ -272,3 +272,44 @@ class TestPaddingEdgeCases:
         assert np.allclose(r.sigma, ref, atol=1e-12)
         rep = accuracy_report(a, r)
         assert rep["recon_err"] < 1e-12
+
+
+class TestWideInput:
+    # a wide input (m < n) is solved as its tall transpose: before, the
+    # scalar kernel never recognised the n - m null columns as converged,
+    # ran out its sweeps with converged=False and overflowed in
+    # rotation_params, although sigma was already accurate
+
+    @pytest.mark.parametrize("block_size", [None, 4])
+    def test_svd_converges_without_warnings(self, rng, block_size):
+        import warnings
+
+        a = rng.standard_normal((16, 24))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("error", ConvergenceWarning)
+            r = svd(a, block_size=block_size)
+        assert r.converged
+        assert r.sigma.shape == (24,)
+        assert r.u.shape == (16, 24)
+        assert r.v.shape == (24, 24)
+        ref = np.linalg.svd(a, compute_uv=False)
+        assert np.max(np.abs(r.sigma[:16] - ref)) < 1e-12 * ref[0]
+        assert np.all(r.sigma[16:] == 0.0)
+        assert np.allclose(r.v.T @ r.v, np.eye(24), atol=1e-10)
+        assert np.allclose((r.u * r.sigma) @ r.v.T, a, atol=1e-12)
+
+    @pytest.mark.parametrize("block_size", [None, 4])
+    def test_svd_batch_matches_loop(self, rng, block_size):
+        import warnings
+
+        xs = rng.standard_normal((2, 16, 24))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("error", ConvergenceWarning)
+            got = svd_batch(xs, block_size=block_size)
+            want = [svd(x, block_size=block_size) for x in xs]
+        for g, w in zip(got.results, want):
+            assert g.converged
+            for name in ("sigma", "u", "v", "sigma_by_slot"):
+                assert np.array_equal(getattr(g, name), getattr(w, name))
