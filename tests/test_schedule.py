@@ -1,5 +1,7 @@
 """Unit tests for the schedule representation."""
 
+import re
+
 import pytest
 
 from repro.orderings.schedule import (
@@ -106,6 +108,62 @@ class TestComposeMoves:
             data = [rnd.random() for _ in range(n)]
             net = compose_moves(m1, m2)
             assert apply_moves(data, net) == apply_moves(apply_moves(data, m1), m2)
+
+
+class TestValidationMessages:
+    """Every rejection of the validating constructors raises
+    ``ValueError`` with its exact message; the messages are built only
+    when a check fails, so pin their text here."""
+
+    @staticmethod
+    def _raises(message):
+        return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
+    def test_degenerate_pair(self):
+        with self._raises("degenerate pair (3, 3)"):
+            Step(pairs=((0, 1), (3, 3)))
+
+    def test_slot_in_two_pairs(self):
+        with self._raises(
+                "slot appears in two pairs of one step: ((0, 1), (2, 3), (3, 4))"):
+            Step(pairs=((0, 1), (2, 3), (3, 4)))
+
+    def test_degenerate_pair_reported_before_a_later_overlap(self):
+        with self._raises("degenerate pair (2, 2)"):
+            Step(pairs=((0, 1), (2, 2), (1, 5)))
+
+    def test_duplicate_move_sources(self):
+        with self._raises("duplicate move sources in step"):
+            Step(pairs=(), moves=(Move(0, 1), Move(0, 2), Move(1, 0)))
+
+    def test_duplicate_move_destinations(self):
+        with self._raises("duplicate move destinations in step"):
+            Step(pairs=(), moves=(Move(0, 2), Move(1, 2)))
+
+    def test_moves_not_a_partial_permutation(self):
+        with self._raises(
+                "moves must form a partial permutation (src set == dst set); "
+                "got srcs=[0, 2] dsts=[1, 2]"):
+            Step(pairs=(), moves=(Move(2, 1), Move(0, 2)))
+
+    @pytest.mark.parametrize("pair", [(0, 4), (4, 0), (-1, 0)])
+    def test_pair_slot_out_of_range(self, pair):
+        with self._raises("pair slot out of range in sched-x"):
+            Schedule(n=4, steps=[Step(pairs=((2, 3),)), Step(pairs=(pair,))],
+                     name="sched-x")
+
+    @pytest.mark.parametrize("move", [(0, 4), (4, 0)])
+    def test_move_slot_out_of_range(self, move):
+        src, dst = move
+        with self._raises("move slot out of range in sched-y"):
+            Schedule(n=4, steps=[Step(pairs=((0, 1),),
+                                      moves=(Move(src, dst), Move(dst, src)))],
+                     name="sched-y")
+
+    def test_pair_checked_before_moves_of_the_same_step(self):
+        with self._raises("pair slot out of range in schedule"):
+            Schedule(n=2, steps=[Step(pairs=((0, 7),),
+                                      moves=(Move(0, 9), Move(9, 0)))])
 
 
 class TestSchedule:
