@@ -29,7 +29,7 @@ import numpy as np
 from ..core.result import SVDResult, SweepRecord
 from ..orderings.base import Ordering
 from ..orderings.plan import compile_schedule
-from ..orderings.registry import make_ordering
+from ..orderings.registry import shared_ordering
 from ..svd.convergence import off_norm
 from ..util.errors import ConvergenceWarning
 from ..util.validation import require
@@ -157,7 +157,7 @@ def block_jacobi_svd(
         require(ordering.n == n_blocks, "ordering must cover the block count")
         ord_obj = ordering
     else:
-        ord_obj = make_ordering(ordering, n_blocks, **ordering_kwargs)
+        ord_obj = shared_ordering(ordering, n_blocks, **ordering_kwargs)
 
     X = a.copy()
     V = np.eye(n) if compute_uv else None
@@ -322,7 +322,7 @@ def block_jacobi_svd_batch(
         require(ordering.n == n_blocks, "ordering must cover the block count")
         ord_obj = ordering
     else:
-        ord_obj = make_ordering(ordering, n_blocks, **ordering_kwargs)
+        ord_obj = shared_ordering(ordering, n_blocks, **ordering_kwargs)
 
     Xs = stack.copy()
     Vs = np.broadcast_to(np.eye(n), (nitems, n, n)).copy() \

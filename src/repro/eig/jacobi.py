@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..orderings.base import Ordering
-from ..orderings.registry import make_ordering
+from ..orderings.registry import shared_ordering
 from ..util.validation import require
 
 __all__ = ["EigOptions", "EigResult", "gram_eigh", "gram_eigh_batched",
@@ -125,7 +125,7 @@ def jacobi_eigh(
         require(ordering.n == n, "ordering size mismatch")
         ord_obj = ordering
     else:
-        ord_obj = make_ordering(ordering, n, **ordering_kwargs)
+        ord_obj = shared_ordering(ordering, n, **ordering_kwargs)
 
     A = a.copy()
     V = np.eye(n) if compute_v else None

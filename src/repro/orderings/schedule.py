@@ -73,18 +73,28 @@ class Step:
     moves: tuple[Move, ...] = ()
 
     def __post_init__(self) -> None:
+        # messages are formatted only on failure: formatting
+        # ``self.pairs`` once per pair made the passing check quadratic
+        # in the pair count
         touched: set[int] = set()
         for a, b in self.pairs:
-            require(a != b, f"degenerate pair ({a}, {b})")
-            require(a not in touched and b not in touched,
+            if a == b:
+                raise ValueError(f"degenerate pair ({a}, {b})")
+            if a in touched or b in touched:
+                raise ValueError(
                     f"slot appears in two pairs of one step: {self.pairs}")
             touched.add(a)
             touched.add(b)
+        if not self.moves:
+            return
         srcs = [m.src for m in self.moves]
         dsts = [m.dst for m in self.moves]
-        require(len(set(srcs)) == len(srcs), "duplicate move sources in step")
-        require(len(set(dsts)) == len(dsts), "duplicate move destinations in step")
-        require(set(srcs) == set(dsts),
+        src_set = set(srcs)
+        dst_set = set(dsts)
+        require(len(src_set) == len(srcs), "duplicate move sources in step")
+        require(len(dst_set) == len(dsts), "duplicate move destinations in step")
+        if src_set != dst_set:
+            raise ValueError(
                 "moves must form a partial permutation (src set == dst set); "
                 f"got srcs={sorted(srcs)} dsts={sorted(dsts)}")
 
@@ -122,13 +132,14 @@ class Schedule:
     notes: dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        n = self.n
         for step in self.steps:
             for a, b in step.pairs:
-                require(0 <= a < self.n and 0 <= b < self.n,
-                        f"pair slot out of range in {self.name}")
+                if not (0 <= a < n and 0 <= b < n):
+                    raise ValueError(f"pair slot out of range in {self.name}")
             for m in step.moves:
-                require(0 <= m.src < self.n and 0 <= m.dst < self.n,
-                        f"move slot out of range in {self.name}")
+                if not (0 <= m.src < n and 0 <= m.dst < n):
+                    raise ValueError(f"move slot out of range in {self.name}")
 
     @property
     def n_steps(self) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..util.validation import require, require_power_of_two
+from ..util.validation import require_power_of_two
 from .schedule import Move, Schedule, Step, compose_moves
 
 __all__ = ["StepFragment", "two_block_fragments", "two_block_schedule", "merge_parallel"]
@@ -57,7 +57,8 @@ def _bottom(leaf: int) -> int:
 def merge_parallel(*fragment_lists: list[StepFragment]) -> list[StepFragment]:
     """Zip equally long fragment lists from disjoint leaf ranges."""
     lengths = {len(f) for f in fragment_lists}
-    require(len(lengths) == 1, f"parallel fragment lists differ in length: {lengths}")
+    if len(lengths) != 1:
+        raise ValueError(f"parallel fragment lists differ in length: {lengths}")
     merged = []
     for frags in zip(*fragment_lists):
         pairs = tuple(p for f in frags for p in f.pairs)
@@ -75,7 +76,8 @@ def two_block_fragments(leaves: list[int], rotate: str = "bottom") -> list[StepF
     size ``K``) must be a power of two; the sweep has exactly ``K``
     fragments.
     """
-    require(rotate in ("top", "bottom"), f"rotate must be top/bottom, got {rotate!r}")
+    if rotate not in ("top", "bottom"):
+        raise ValueError(f"rotate must be top/bottom, got {rotate!r}")
     K = len(leaves)
     require_power_of_two(K, "number of leaves")
     if K == 1:

@@ -29,7 +29,7 @@ from ..machine.simulator import TreeMachine
 from ..machine.stats import SweepStats
 from ..machine.topology import TreeTopology, make_topology
 from ..orderings.base import Ordering
-from ..orderings.registry import make_ordering
+from ..orderings.registry import shared_ordering
 from ..svd.convergence import off_norm
 from ..svd.hestenes import JacobiOptions
 from ..util.errors import ConvergenceWarning
@@ -125,7 +125,7 @@ class ParallelJacobiSVD:
         ordering = (
             self._ordering_spec
             if isinstance(self._ordering_spec, Ordering)
-            else make_ordering(self._ordering_spec, n_units, **self._ordering_kwargs)
+            else shared_ordering(self._ordering_spec, n_units, **self._ordering_kwargs)
         )
         require(ordering.n == n_units, "ordering size mismatch")
         return TreeMachine(topo, self.cost_model), ordering

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..core.result import SVDResult, SweepRecord
 from ..orderings.base import Ordering
-from ..orderings.registry import make_ordering
+from ..orderings.registry import shared_ordering
 from ..util.errors import ConvergenceWarning
 from ..util.validation import require
 from .convergence import off_norm
@@ -83,7 +83,7 @@ def _resolve_ordering(ordering: str | Ordering, n: int, **kwargs: object) -> Ord
     if isinstance(ordering, Ordering):
         require(ordering.n == n, f"ordering built for n={ordering.n}, matrix has n={n}")
         return ordering
-    return make_ordering(ordering, n, **kwargs)
+    return shared_ordering(ordering, n, **kwargs)
 
 
 def _schedule_arrays(

@@ -23,10 +23,9 @@ def require_even(n: int, what: str = "n") -> None:
 
 def require_power_of_two(n: int, what: str = "n", minimum: int = 1) -> None:
     """Require a power of two no smaller than ``minimum``."""
-    require(
-        is_power_of_two(n) and n >= minimum,
-        f"{what} must be a power of two >= {minimum}, got {n!r}",
-    )
+    # formatted only on failure: schedule builders call this per fragment
+    if not (is_power_of_two(n) and n >= minimum):
+        raise ValueError(f"{what} must be a power of two >= {minimum}, got {n!r}")
 
 
 def require_range(x: int, lo: int, hi: int, what: str = "value") -> None:

@@ -279,3 +279,63 @@ class TestConsumers:
         machine.load(rng.standard_normal((24, 16)))
         machine.run_sweep(sched, tol=1e-12, sort=None, sweep_index=0)
         assert plan_cache_stats().misses == before
+
+
+class TestSharedOrderings:
+    """The solver drivers share one ordering per ``(name, n, kwargs)``,
+    so repeat calls reuse its schedules instead of rebuilding them."""
+
+    def test_repeat_parallel_calls_build_the_sweep_once(self, monkeypatch):
+        from repro import parallel_svd
+        from repro.orderings.hybrid import HybridOrdering
+
+        calls = []
+        original = HybridOrdering.build_sweep
+
+        def counting(self, sweep_index):
+            calls.append((self.n, sweep_index))
+            return original(self, sweep_index)
+
+        monkeypatch.setattr(HybridOrdering, "build_sweep", counting)
+        a = np.random.default_rng(4).standard_normal((20, 16))
+        r1, _ = parallel_svd(a, topology="cm5", ordering="hybrid")
+        r2, _ = parallel_svd(a, topology="cm5", ordering="hybrid")
+        assert calls == [(16, 0)]
+        assert r1.sigma.tobytes() == r2.sigma.tobytes()
+        stats = plan_cache_stats()
+        assert stats.misses == 1 and stats.hits == 0
+
+    def test_distinct_keys_get_distinct_instances(self):
+        from repro.orderings.registry import shared_ordering
+
+        base = shared_ordering("hybrid", 16)
+        assert shared_ordering("hybrid", 16) is base
+        assert shared_ordering("hybrid", 32) is not base
+        assert shared_ordering("fat_tree", 16) is not base
+        assert shared_ordering("hybrid", 16, n_groups=4) is not base
+        assert shared_ordering("hybrid", 16, n_groups=4) is \
+            shared_ordering("hybrid", 16, n_groups=4)
+
+    def test_make_ordering_stays_fresh(self):
+        from repro.orderings.registry import shared_ordering
+
+        shared = shared_ordering("ring_new", 8)
+        first = make_ordering("ring_new", 8)
+        assert first is not make_ordering("ring_new", 8)
+        assert first is not shared
+
+    def test_unknown_name_still_rejected(self):
+        from repro.orderings.registry import shared_ordering
+
+        with pytest.raises(ValueError, match="unknown ordering"):
+            shared_ordering("bogus", 8)
+
+    def test_clear_drops_the_shared_orderings(self):
+        from repro.svd import jacobi_svd
+
+        a = np.random.default_rng(5).standard_normal((12, 8))
+        jacobi_svd(a, ordering="ring_new")
+        clear_plan_cache()
+        jacobi_svd(a, ordering="ring_new")
+        stats = plan_cache_stats()
+        assert stats.misses == 1 and stats.hits == 0
