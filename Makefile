@@ -12,7 +12,7 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # the batch-API contract: svd_batch bit-identical to a loop of svd()
-# across kernels x orderings x sizes x executors, plus the hypothesis batch
+# across kernels x orderings x sizes, plus the hypothesis batch
 # properties (order-invariance, determinism, per-item error reporting)
 test-batch:
 	$(PYTHON) -m pytest -x -q tests/test_batch_api.py tests/test_batch_property.py

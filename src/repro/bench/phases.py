@@ -21,9 +21,7 @@ guard ensures nested instrumented calls (a driver-level wrapper calling
 a kernel-level one) are charged once, to the outermost phase entered.
 
 The numbers are advisory diagnostics, not gate material: wrapper
-overhead is real for very hot tiny functions, and concurrent
-accumulation from ``threads`` executor workers is unsynchronised (GIL
-increments; good to the precision a breakdown needs).  That is why the
+overhead is real for very hot tiny functions.  That is why the
 breakdown rides in ``meta`` from one extra instrumented run and the
 gated ``wall_time_s`` median stays uninstrumented.
 """

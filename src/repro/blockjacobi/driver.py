@@ -64,16 +64,6 @@ class BlockJacobiOptions:
         path, the default) or ``"reference"`` (per-step masked
         rotations, the numerics the gram kernel is tested against) —
         see :mod:`repro.blockjacobi.kernel`.
-    ``executor``
-        Step-execution backend: ``"serial"`` or ``"threads"`` (worker
-        threads share the column buffer; each solves a disjoint subset
-        of a step's independent pair subproblems — bit-identical to
-        serial for any worker count).  ``None`` resolves from
-        ``$REPRO_EXECUTOR`` (default serial).  See
-        :mod:`repro.parallel.executor`.
-    ``workers``
-        Workers of the ``threads`` backend; ``None`` resolves from
-        ``$REPRO_WORKERS`` (default: CPU count).
     ``sanitize``
         Arm the runtime sanitizer (:mod:`repro.verify.sanitize`):
         per-step write-set records cross-checked against the per-pair
@@ -88,13 +78,9 @@ class BlockJacobiOptions:
     max_sweeps: int = 60
     sort: str | None = "desc"
     kernel: str = "gram"
-    executor: str | None = None
-    workers: int | None = None
     sanitize: bool | None = None
 
     def __post_init__(self) -> None:
-        from ..parallel.executor import EXECUTORS, unknown_executor_message
-
         # inner_sweeps = 0 would make every local solve a no-op that
         # reports worst = 0.0, so the driver would declare convergence
         # after one sweep with a wrong result; fail loudly instead
@@ -106,17 +92,6 @@ class BlockJacobiOptions:
         require(self.kernel in BLOCK_KERNELS,
                 f"unknown block kernel {self.kernel!r}; "
                 f"available: {', '.join(BLOCK_KERNELS)}")
-        require(self.executor is None or self.executor in EXECUTORS,
-                unknown_executor_message(self.executor))
-        require(self.workers is None or self.workers >= 1,
-                f"workers must be >= 1, got {self.workers!r}")
-
-    def make_executor(self):
-        """Build the run's :class:`~repro.parallel.executor.StepExecutor`
-        (the caller owns and closes it)."""
-        from ..parallel.executor import resolve_executor
-
-        return resolve_executor(self.executor, self.workers)
 
     def make_sanitizer(self):
         """Build the run's :class:`~repro.verify.sanitize.RuntimeSanitizer`,
@@ -176,43 +151,39 @@ def block_jacobi_svd(
     sanitizer = opts.make_sanitizer()
     if sanitizer is not None:
         sanitizer.arm_reference(X)
-    executor = opts.make_executor()
-    try:
-        for sweep in range(opts.max_sweeps):
-            plan = compile_schedule(ord_obj.sweep(sweep))
-            worst = 0.0
-            rotations = 0
-            for cs in plan.steps:
-                if cs.n_pairs:
-                    pair_cols = block_cols[cs.pairs].reshape(cs.n_pairs, 2 * b)
-                    st, mx = solve_block_step_rows(
-                        XT, VT, row_of_col, pair_cols, opts.tol, opts.sort,
-                        opts.inner_sweeps, opts.kernel, sanitizer=sanitizer,
-                        executor=executor, scratch=scratch)
-                    worst = max(worst, mx)
-                    rotations += st.applied
-                if cs.has_moves:
-                    # fancy assignment materialises the gather first, so
-                    # the move phase keeps its snapshot semantics
-                    block_cols[cs.dst] = block_cols[cs.src]
-            sweeps = sweep + 1
-            rows_to_columns(XT, VT, row_of_col, X, V, scratch)
-            if sanitizer is not None:
-                sanitizer.check_sweep(X, V, sweep=sweeps)
-            history.append(
-                SweepRecord(
-                    sweep=sweeps,
-                    off_norm=off_norm(X),
-                    max_rel_gamma=worst,
-                    rotations=rotations,
-                    skipped=0,
-                )
+    for sweep in range(opts.max_sweeps):
+        plan = compile_schedule(ord_obj.sweep(sweep))
+        worst = 0.0
+        rotations = 0
+        for cs in plan.steps:
+            if cs.n_pairs:
+                pair_cols = block_cols[cs.pairs].reshape(cs.n_pairs, 2 * b)
+                st, mx = solve_block_step_rows(
+                    XT, VT, row_of_col, pair_cols, opts.tol, opts.sort,
+                    opts.inner_sweeps, opts.kernel, sanitizer=sanitizer,
+                    scratch=scratch)
+                worst = max(worst, mx)
+                rotations += st.applied
+            if cs.has_moves:
+                # fancy assignment materialises the gather first, so
+                # the move phase keeps its snapshot semantics
+                block_cols[cs.dst] = block_cols[cs.src]
+        sweeps = sweep + 1
+        rows_to_columns(XT, VT, row_of_col, X, V, scratch)
+        if sanitizer is not None:
+            sanitizer.check_sweep(X, V, sweep=sweeps)
+        history.append(
+            SweepRecord(
+                sweep=sweeps,
+                off_norm=off_norm(X),
+                max_rel_gamma=worst,
+                rotations=rotations,
+                skipped=0,
             )
-            if worst <= opts.tol:
-                converged = True
-                break
-    finally:
-        executor.close()
+        )
+        if worst <= opts.tol:
+            converged = True
+            break
     # the row storage is dead weight while the result is assembled
     del XT, VT, scratch
 
@@ -303,12 +274,11 @@ def block_jacobi_svd_batch(
     sweeps.  Results are **bit-identical** to calling
     :func:`block_jacobi_svd` on each slice with the same options.
 
-    The executor (when ``workers > 1``) chunks the *batch axis*: items,
-    not GEMM rows, are the unit of parallel work.  With the sanitizer
-    armed, each item gets its own sweep-boundary canaries (SAN002/003);
-    the per-step write-set protocol (SAN001) covers the solo path and is
-    not armed here — the batch path is instead pinned to the solo path
-    bit-for-bit by the conformance suite.
+    With the sanitizer armed, each item gets its own sweep-boundary
+    canaries (SAN002/003); the per-step write-set protocol (SAN001)
+    covers the solo path and is not armed here — the batch path is
+    instead pinned to the solo path bit-for-bit by the conformance
+    suite.
     """
     stack = np.asarray(stack, dtype=np.float64)
     require(stack.ndim == 3, "stack of matrices expected")
@@ -341,43 +311,39 @@ def block_jacobi_svd_batch(
         sanitizers = [RuntimeSanitizer() for _ in range(nitems)]
         for i in range(nitems):
             sanitizers[i].arm_reference(Xs[i])
-    executor = opts.make_executor()
-    try:
-        for sweep in range(opts.max_sweeps):
-            if active.size == 0:
-                break
-            plan = compile_schedule(ord_obj.sweep(sweep))
-            worst = np.zeros(active.size)
-            rotations = np.zeros(active.size, dtype=np.intp)
-            for cs in plan.steps:
-                if cs.n_pairs:
-                    pair_cols = block_cols[cs.pairs].reshape(cs.n_pairs, 2 * b)
-                    ap, wo = solve_block_step_batch(
-                        Xs, Vs, active, pair_cols, opts.tol, opts.sort,
-                        opts.inner_sweeps, opts.kernel, executor=executor)
-                    worst = np.maximum(worst, wo)
-                    rotations += ap
-                if cs.has_moves:
-                    block_cols[cs.dst] = block_cols[cs.src]
-            for j, i in enumerate(active):
-                sweeps_used[i] = sweep + 1
-                if sanitizers is not None:
-                    sanitizers[i].check_sweep(
-                        Xs[i], None if Vs is None else Vs[i], sweep=sweep + 1)
-                histories[i].append(
-                    SweepRecord(
-                        sweep=sweep + 1,
-                        off_norm=off_norm(Xs[i]),
-                        max_rel_gamma=float(worst[j]),
-                        rotations=int(rotations[j]),
-                        skipped=0,
-                    )
+    for sweep in range(opts.max_sweeps):
+        if active.size == 0:
+            break
+        plan = compile_schedule(ord_obj.sweep(sweep))
+        worst = np.zeros(active.size)
+        rotations = np.zeros(active.size, dtype=np.intp)
+        for cs in plan.steps:
+            if cs.n_pairs:
+                pair_cols = block_cols[cs.pairs].reshape(cs.n_pairs, 2 * b)
+                ap, wo = solve_block_step_batch(
+                    Xs, Vs, active, pair_cols, opts.tol, opts.sort,
+                    opts.inner_sweeps, opts.kernel)
+                worst = np.maximum(worst, wo)
+                rotations += ap
+            if cs.has_moves:
+                block_cols[cs.dst] = block_cols[cs.src]
+        for j, i in enumerate(active):
+            sweeps_used[i] = sweep + 1
+            if sanitizers is not None:
+                sanitizers[i].check_sweep(
+                    Xs[i], None if Vs is None else Vs[i], sweep=sweep + 1)
+            histories[i].append(
+                SweepRecord(
+                    sweep=sweep + 1,
+                    off_norm=off_norm(Xs[i]),
+                    max_rel_gamma=float(worst[j]),
+                    rotations=int(rotations[j]),
+                    skipped=0,
                 )
-            done = worst <= opts.tol
-            converged[active[done]] = True
-            active = active[~done]
-    finally:
-        executor.close()
+            )
+        done = worst <= opts.tol
+        converged[active[done]] = True
+        active = active[~done]
 
     watchdogs: list[str | None] = [None] * nitems
     stuck = np.flatnonzero(~converged)

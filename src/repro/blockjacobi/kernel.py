@@ -33,11 +33,12 @@ row ``row_of_col[c]``, so a step gathers and scatters contiguous rows.
     charges ``inner_sweeps`` local sweeps per met pair, so model time
     does not depend on the host solver.
 
-An optional ``executor`` (a :class:`~repro.parallel.executor.StepExecutor`)
-splits a step's independent work across threads: the reference kernel's
-loop over pairs, and the gram kernel's gather/GEMM phases along the pair
-axis.  Chunks write disjoint rows and each 2D GEMM is computed exactly
-as in one chunk, so any worker count yields the serial bits.
+A step runs serially on the host: each phase covers all of the step's
+pairs at once (the gram kernel's stacked BLAS-3 calls, the reference
+kernel's loop over pairs).  The concurrency of the leaves is charged to
+the cost model by the simulator, not replayed with host threads, which
+measured slower than serial (EXPERIMENTS.md, "Removed: threads
+executor").
 
 Accuracy note for ``gram``: forming and applying in Gram space is
 norm-wise backward stable, but the BLAS-3 application mixes all ``2b``
@@ -92,23 +93,6 @@ _EPS = float(np.finfo(np.float64).eps)
 _SORT_MODES = ("desc", "asc", None)
 
 
-def _dispatch(executor, n_items: int, fn):
-    """Run ``fn(lo, hi)`` over ``executor``'s chunking of
-    ``range(n_items)``, results in chunk order (``None``: one chunk in
-    the calling thread)."""
-    if executor is None:
-        return [fn(0, n_items)] if n_items > 0 else []
-    return executor.run_chunks(n_items, fn)
-
-
-def _dispatch_bounds(executor, n_items: int) -> list[tuple[int, int]]:
-    """The chunk bounds :func:`_dispatch` ran with, for sanitizer
-    records replayed in the calling thread after the dispatch settles."""
-    if executor is None:
-        return [(0, n_items)] if n_items > 0 else []
-    return executor.chunk_bounds(n_items, executor.workers)
-
-
 def _require_kernel(kernel: str) -> None:
     require(kernel in BLOCK_KERNELS,
             f"unknown block kernel {kernel!r}; "
@@ -146,7 +130,6 @@ def solve_block_step(
     inner_sweeps: int,
     kernel: str = "gram",
     sanitizer=None,
-    executor=None,
 ) -> tuple[RotationStats, float]:
     """Solve every met block pair of one schedule step on column storage.
 
@@ -161,7 +144,7 @@ def solve_block_step(
     VT = None if V is None else V.T
     try:
         return solve_block_step_rows(XT, VT, row_of_col, pair_cols, tol, sort,
-                                     inner_sweeps, kernel, sanitizer, executor)
+                                     inner_sweeps, kernel, sanitizer)
     finally:
         # row_of_col is a permutation, so its moved entries permute
         # among themselves; the fancy gather copies before the scatter
@@ -182,7 +165,6 @@ def solve_block_step_rows(
     inner_sweeps: int,
     kernel: str = "gram",
     sanitizer=None,
-    executor=None,
     scratch: "dict | None" = None,
 ) -> tuple[RotationStats, float]:
     """Solve every met block pair of one schedule step.
@@ -210,12 +192,8 @@ def solve_block_step_rows(
     sets they actually write, and the record is cross-checked against
     the per-pair column sets when the step closes (rule ``SAN001``).
 
-    ``executor`` (a :class:`~repro.parallel.executor.StepExecutor`, or
-    ``None`` for the calling thread) chunks the step's independent
-    work (the gram kernel's gather and GEMM phases; its batched pivot
-    solve runs in the calling thread), so the result is bit-identical
-    for any worker count.  ``scratch`` is the gram kernel's step-stack
-    carry (see :func:`fastpath_gram_step`); a caller passing one must
+    ``scratch`` is the gram kernel's step-stack carry (see
+    :func:`fastpath_gram_step`); a caller passing one must
     :func:`fastpath_gram_flush` it before reading ``XT``/``VT``.
     """
     require(sort in _SORT_MODES, f"sort must be one of {_SORT_MODES}, got {sort!r}")
@@ -224,14 +202,13 @@ def solve_block_step_rows(
     _require_kernel(kernel)
     if sanitizer is None:
         return _solve_step_body(XT, VT, row_of_col, pair_cols, tol, sort,
-                                inner_sweeps, kernel, None, executor, scratch)
+                                inner_sweeps, kernel, None, scratch)
     expected = [frozenset(int(c) for c in pair_cols[i])
                 for i in range(len(pair_cols))]
     sanitizer.begin_step(len(pair_cols), expected)
     try:
         out = _solve_step_body(XT, VT, row_of_col, pair_cols, tol, sort,
-                               inner_sweeps, kernel, sanitizer, executor,
-                               scratch)
+                               inner_sweeps, kernel, sanitizer, scratch)
     except BaseException:
         # the step never completed; its write-set record is meaningless
         sanitizer.abort_step()
@@ -250,7 +227,6 @@ def _solve_step_body(
     inner_sweeps: int,
     kernel: str,
     sanitizer,
-    executor,
     scratch: "dict | None",
 ) -> tuple[RotationStats, float]:
     """The dispatch body of :func:`solve_block_step_rows` (validated input)."""
@@ -260,37 +236,24 @@ def _solve_step_body(
                 "all block pairs of a step must have equal width")
         try:
             return fastpath_gram_step(XT, VT, row_of_col, pair_cols, tol, sort,
-                                      scratch, sanitizer, executor)
+                                      scratch, sanitizer)
         except NumericalBreakdown:
             # isolate the poisoned pairs via the per-pair chain
             fastpath_gram_flush(XT, VT, scratch)
     chain = FALLBACK_CHAINS[kernel]
-
-    def solve_pairs(lo: int, hi: int) -> tuple[RotationStats, float]:
-        stats = RotationStats()
-        worst = 0.0
-        for i in range(lo, hi):
-            st, mx = _solve_pair_chain(XT, VT, row_of_col,
-                                       np.asarray(pair_cols[i], dtype=np.intp),
-                                       tol, sort, inner_sweeps, chain)
-            stats.merge(st)
-            worst = max(worst, mx)
-        return stats, worst
-
-    # pairs touch disjoint rows, so the chunks are independent; the
-    # results merge in chunk order for a deterministic reduction
-    out = _dispatch(executor, len(pair_cols), solve_pairs)
-    if sanitizer is not None:
-        # the per-pair solvers rewrite every column of their pairs
-        for lo, hi in _dispatch_bounds(executor, len(pair_cols)):
-            sanitizer.record_touch(
-                lo, hi, np.concatenate([np.asarray(pair_cols[i])
-                                        for i in range(lo, hi)]))
     stats = RotationStats()
     worst = 0.0
-    for st, mx in out:
+    for cols in pair_cols:
+        st, mx = _solve_pair_chain(XT, VT, row_of_col,
+                                   np.asarray(cols, dtype=np.intp),
+                                   tol, sort, inner_sweeps, chain)
         stats.merge(st)
         worst = max(worst, mx)
+    if sanitizer is not None:
+        # the per-pair solvers rewrite every column of their pairs
+        sanitizer.record_touch(
+            0, len(pair_cols),
+            np.concatenate([np.asarray(cols) for cols in pair_cols]))
     return stats, worst
 
 
@@ -600,7 +563,6 @@ def fastpath_gram_step(
     sort: str | None,
     scratch: "dict | None" = None,
     sanitizer=None,
-    executor=None,
 ) -> tuple[RotationStats, float]:
     """One schedule step of the gram kernel: every met pair at once.
 
@@ -626,8 +588,7 @@ def fastpath_gram_step(
     so ``XT``/``VT`` are stale until :func:`fastpath_gram_flush`.
     ``np.take(..., mode="clip")`` and ``np.matmul(..., out=)`` copy the
     same bits as the allocating forms.  ``sanitizer`` receives the
-    step's write records; ``executor`` chunks the gather/GEMM phases
-    along the pair axis (chunks write disjoint slices and rows).
+    step's write record.
 
     Raises :class:`~repro.util.errors.NumericalBreakdown` before
     touching any row (a carried stack stays carried), so the caller can
@@ -651,13 +612,8 @@ def fastpath_gram_step(
     Ys2d = _fp_buffer(scratch, "Ys", nb * k, (m,))
     Ys = Ys2d.reshape(nb, k, m)
     G = _fp_buffer(scratch, "G", nb, (k, k))
-
-    def form(lo: int, hi: int) -> None:
-        np.take(xsrc, idx[lo * k:hi * k], axis=0, out=Ys2d[lo * k:hi * k],
-                mode="clip")
-        np.matmul(Ys[lo:hi], Ys[lo:hi].transpose(0, 2, 1), out=G[lo:hi])
-
-    _dispatch(executor, nb, form)
+    np.take(xsrc, idx, axis=0, out=Ys2d, mode="clip")
+    np.matmul(Ys, Ys.transpose(0, 2, 1), out=G)
     _require_finite_gram(G, cols_arr)
     G, d, floor, worst = _gram_measure(G, tol)
     worst = float(worst.max())
@@ -688,23 +644,14 @@ def fastpath_gram_step(
 
         # every V row is gathered before any is written: a carried V
         # stack is both the source and the output buffer
-        def gather_v(lo: int, hi: int) -> None:
-            np.take(vsrc, idx[lo * k:hi * k], axis=0, out=Vs2d[lo * k:hi * k],
-                    mode="clip")
-
-        _dispatch(executor, nb, gather_v)
-
-    def apply(lo: int, hi: int) -> None:
-        np.matmul(WT[lo:hi], Ys[lo:hi], out=xout3[lo:hi])
+        np.take(vsrc, idx, axis=0, out=Vs2d, mode="clip")
+    np.matmul(WT, Ys, out=xout3)
+    if VT is not None:
+        np.matmul(WT, Vs, out=vout3)
+    if not full:
+        XT[rows] = xout
         if VT is not None:
-            np.matmul(WT[lo:hi], Vs[lo:hi], out=vout3[lo:hi])
-        if not full:
-            r = rows[lo * k:hi * k]
-            XT[r] = xout[lo * k:hi * k]
-            if VT is not None:
-                VT[r] = vout[lo * k:hi * k]
-
-    _dispatch(executor, nb, apply)
+            VT[rows] = vout
     if full:
         scratch["stack_rows"] = rows
         pos = scratch.get("pos")
@@ -715,8 +662,7 @@ def fastpath_gram_step(
     tgt_arr = _targets(cols_arr, sort)
     row_of_col[tgt_arr.reshape(-1)] = rows
     if sanitizer is not None:
-        for lo, hi in _dispatch_bounds(executor, nb):
-            sanitizer.record_touch(lo, hi, tgt_arr[lo:hi].reshape(-1))
+        sanitizer.record_touch(0, nb, tgt_arr.reshape(-1))
     return stats, worst
 
 
@@ -729,7 +675,6 @@ def solve_block_step_batch(
     sort: str | None,
     inner_sweeps: int,
     kernel: str = "gram",
-    executor=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve one schedule step for *many problem matrices* at once.
 
@@ -748,10 +693,7 @@ def solve_block_step_batch(
     apply/scatter.  LAPACK solves every Gram matrix of the stack on its
     own and every skip/sort-only decision is taken per problem, so no
     problem's factors ever depend on its batch neighbours.  The per-pair
-    kernels loop over the items.  ``executor`` chunks the *batch axis*
-    (items, not GEMM rows, are the unit of parallel work); chunks write
-    disjoint ``Xs[i]`` slices and merge in chunk order, so any worker
-    count yields the same bits.
+    kernels loop over the items.
 
     A poisoned item (non-finite Gram blocks, or a stack LAPACK cannot
     solve) is delegated alone to :func:`solve_block_step`, which
@@ -764,26 +706,18 @@ def solve_block_step_batch(
     if items.size == 0 or len(pair_cols) == 0:
         return np.zeros(items.size, dtype=np.intp), np.zeros(items.size)
 
-    def solve_items(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        sub = items[lo:hi]
-        if kernel == "gram":
-            return _solve_gram_batch(Xs, Vs, sub, pair_cols, tol, sort,
-                                     inner_sweeps)
-        applied = np.zeros(sub.size, dtype=np.intp)
-        worst = np.zeros(sub.size)
-        for j, i in enumerate(sub):
-            st, mx = solve_block_step(
-                Xs[i], None if Vs is None else Vs[i], pair_cols, tol, sort,
-                inner_sweeps, kernel)
-            applied[j] = st.applied
-            worst[j] = mx
-        return applied, worst
-
-    out = _dispatch(executor, items.size, solve_items)
-    if len(out) == 1:
-        return out[0]
-    return (np.concatenate([ap for ap, _ in out]),
-            np.concatenate([wo for _, wo in out]))
+    if kernel == "gram":
+        return _solve_gram_batch(Xs, Vs, items, pair_cols, tol, sort,
+                                 inner_sweeps)
+    applied = np.zeros(items.size, dtype=np.intp)
+    worst = np.zeros(items.size)
+    for j, i in enumerate(items):
+        st, mx = solve_block_step(
+            Xs[i], None if Vs is None else Vs[i], pair_cols, tol, sort,
+            inner_sweeps, kernel)
+        applied[j] = st.applied
+        worst[j] = mx
+    return applied, worst
 
 
 def _expand_groups(pos: np.ndarray, nb: int) -> np.ndarray:

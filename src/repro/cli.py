@@ -77,14 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--block-size", type=int, default=None, metavar="B",
                      help="run at block granularity with B columns per "
                           "schedule unit (default: scalar, 1 column)")
-    run.add_argument("--executor", default=None,
-                     choices=["serial", "threads"],
-                     help="block step-execution backend (threads split "
-                          "each step's pair subproblems across workers, "
-                          "bit-identical to serial; needs --block-size)")
-    run.add_argument("--workers", type=int, default=None, metavar="W",
-                     help="workers of --executor threads "
-                          "(default: $REPRO_WORKERS or the CPU count)")
     run.add_argument("--sanitize", action="store_true",
                      help="arm the runtime sanitizer (write-set records + "
                           "sweep-boundary numeric canaries; needs "
@@ -434,15 +426,6 @@ def _svd(args: argparse.Namespace) -> int:
     if args.block_size is not None and args.block_size < 1:
         print("--block-size must be a positive column count")
         return 2
-    if args.executor is not None and args.block_size is None:
-        print("--executor applies to block mode; pass --block-size B")
-        return 2
-    if args.workers is not None and args.workers < 1:
-        print("--workers must be >= 1")
-        return 2
-    if args.workers is not None and args.block_size is None:
-        print("--workers applies to block mode; pass --block-size B")
-        return 2
     if args.kernel == "batched" and args.block_size is not None:
         print("--kernel batched is a scalar kernel; drop --block-size")
         return 2
@@ -504,7 +487,6 @@ def _svd(args: argparse.Namespace) -> int:
             warnings.simplefilter("ignore", ConvergenceWarning)
             batch = svd_batch(stack, ordering=args.ordering,
                               kernel=args.kernel, block_size=args.block_size,
-                              executor=args.executor, workers=args.workers,
                               options=options)
         print(f"batch of {len(batch)}: {batch.summary()}")
         print(f"elapsed={batch.elapsed_s:.3f}s "
@@ -530,8 +512,7 @@ def _svd(args: argparse.Namespace) -> int:
             from repro import svd
 
             r = svd(a, ordering=args.ordering, kernel=args.kernel,
-                    block_size=args.block_size, executor=args.executor,
-                    workers=args.workers, options=options)
+                    block_size=args.block_size, options=options)
             print(f"converged={r.converged} sweeps={r.sweeps} "
                   f"rotations={r.rotations} sorted={r.emerged_sorted}")
         else:
@@ -540,8 +521,6 @@ def _svd(args: argparse.Namespace) -> int:
             r, rep = parallel_svd(a, topology=args.topology,
                                   ordering=args.ordering, kernel=args.kernel,
                                   block_size=args.block_size,
-                                  executor=args.executor,
-                                  workers=args.workers,
                                   options=options, fault_plan=plan)
             print(f"converged={r.converged} sweeps={r.sweeps}")
             print(f"total={rep.total_time:.0f} compute={rep.compute_time:.0f} "

@@ -97,26 +97,17 @@ def _block_options(
     options: JacobiOptions | BlockJacobiOptions | None,
     kernel: str | None,
     block_size: int | None,
-    executor: str | None = None,
-    workers: int | None = None,
 ) -> BlockJacobiOptions | None:
     """Resolve the block-mode options, or ``None`` for scalar mode.
 
     Block mode is requested by ``block_size`` or by passing a
     :class:`BlockJacobiOptions` directly; scalar ``JacobiOptions`` carry
     their shared knobs (tol, max_sweeps, sort) over.  A block-only
-    kernel (``"gram"``) without a block size is a usage error, as is an
-    explicit step executor (the scalar kernels have no independent pair
-    subproblems to hand to workers).
+    kernel (``"gram"``) without a block size is a usage error.
     """
     if block_size is None and not isinstance(options, BlockJacobiOptions):
         require(kernel != "gram",
                 "kernel='gram' is a block kernel; pass block_size=...")
-        require(executor is None,
-                f"executor={executor!r} applies to block mode only; "
-                "pass block_size=...")
-        require(workers is None,
-                "workers= applies to block mode only; pass block_size=...")
         return None
     if isinstance(options, BlockJacobiOptions):
         base = options
@@ -133,10 +124,6 @@ def _block_options(
                 f"unknown block kernel {kernel!r}; "
                 f"available: {', '.join(BLOCK_KERNELS)}")
         base = dataclasses.replace(base, kernel=kernel)
-    if executor is not None:
-        base = dataclasses.replace(base, executor=executor)
-    if workers is not None:
-        base = dataclasses.replace(base, workers=workers)
     return base
 
 
@@ -213,8 +200,6 @@ def svd(
     options: JacobiOptions | BlockJacobiOptions | None = None,
     kernel: str | None = None,
     block_size: int | None = None,
-    executor: str | None = None,
-    workers: int | None = None,
     fault_plan: "FaultPlan | None" = None,
     profile: "str | Mapping | None" = None,
     **ordering_kwargs: object,
@@ -235,10 +220,9 @@ def svd(
     kernel by default).  Admissibility and padding are then decided at
     block granularity.
 
-    ``executor``/``workers`` pick the step-execution backend of block
-    mode (``"serial"`` or ``"threads"``; workers split each step's
-    independent pair subproblems, bit-identical to serial) — see
-    :mod:`repro.parallel.executor`.
+    Block mode runs each schedule step serially on the host; the
+    leaves' concurrency is what :func:`parallel_svd` charges to the
+    simulated machine's timeline.
 
     ``fault_plan`` (a :class:`~repro.faults.FaultPlan`) runs the
     decomposition on the simulated tree machine under fault injection
@@ -254,7 +238,11 @@ def svd(
     A wide input (``m < n``) is solved as its tall transpose, since
     ``sigma(A) = sigma(A^T)``; the result keeps ``A``'s shapes (see
     :func:`_untranspose`), and ``history``/``sigma_by_slot`` describe
-    the transposed run.
+    the transposed run (so does the machine run of ``fault_plan``).
+
+    Keywords beyond the named ones go to the ordering's constructor
+    (``n_groups`` for ``"hybrid"``, ``skip_duplicate`` for ``"llb"``);
+    an ordering without options raises :class:`TypeError` on any.
 
     An input whose peak magnitude lies outside ``[2^-255, 2^255]`` is
     solved at an exact power-of-two scale and sigma scaled back, so
@@ -272,10 +260,10 @@ def svd(
         # return just the decomposition
         result, _ = parallel_svd(
             a, topology="perfect", ordering=ordering, options=options,
-            kernel=kernel, block_size=block_size, executor=executor,
-            workers=workers, fault_plan=fault_plan, **ordering_kwargs)
+            kernel=kernel, block_size=block_size, fault_plan=fault_plan,
+            **ordering_kwargs)
         return result
-    bopts = _block_options(options, kernel, block_size, executor, workers)
+    bopts = _block_options(options, kernel, block_size)
     e = int(_prescale_exponents(a[None])[0])
     result = _svd(np.ldexp(a, -e) if e else a, ordering, options, kernel,
                   bopts, ordering_kwargs)
@@ -329,8 +317,6 @@ def parallel_svd(
     options: JacobiOptions | BlockJacobiOptions | None = None,
     kernel: str | None = None,
     block_size: int | None = None,
-    executor: str | None = None,
-    workers: int | None = None,
     fault_plan: "FaultPlan | None" = None,
     profile: "str | Mapping | None" = None,
     **ordering_kwargs: object,
@@ -339,9 +325,7 @@ def parallel_svd(
 
     ``block_size=b`` runs the machine at block granularity: ``n / b``
     schedule units, ``b``-column messages, block kernels on the leaves
-    (the BLAS-3 gram kernel by default).  ``executor``/``workers``
-    choose the block step-execution backend (``"serial"`` or
-    ``"threads"``, bit-identical) — see :mod:`repro.parallel.executor`.
+    (the BLAS-3 gram kernel by default).
 
     ``fault_plan`` (a :class:`~repro.faults.FaultPlan`) injects the
     planned faults during the run; the machine recovers via the ack/seq
@@ -352,17 +336,27 @@ def parallel_svd(
 
     ``profile`` / ``$REPRO_PROFILE`` fill unset knobs from a tuned
     profile exactly as in :func:`svd`; the ordering default here is the
-    machine-level ``"hybrid"``.  The power-of-two prescale and the
-    non-finite output postcondition of :func:`svd` apply here too.
+    machine-level ``"hybrid"``.  The power-of-two prescale, the
+    non-finite output postcondition and the ordering keywords of
+    :func:`svd` apply here too.
+
+    A wide input (``m < n``) runs on the machine as its tall transpose,
+    as in :func:`svd`: the result keeps ``A``'s shapes, while
+    ``history``/``sigma_by_slot`` and the report (leaf count, model
+    time, fault plan leaves) describe the transposed run.
     """
     a = as_float_matrix(a, "a")
     ordering, kernel, block_size = _profile_fill(
         profile, a.shape[0], a.shape[1], None, "hybrid", ordering,
         options, kernel, block_size)
-    bopts = _block_options(options, kernel, block_size, executor, workers)
+    bopts = _block_options(options, kernel, block_size)
     e = int(_prescale_exponents(a[None])[0])
     if e:
         a = np.ldexp(a, -e)
+    n = a.shape[1]
+    wide = a.shape[0] < n
+    if wide:
+        a = np.ascontiguousarray(a.T)
     pow2 = _needs_power_of_two(ordering)
     if bopts is not None:
         options = bopts
@@ -381,6 +375,8 @@ def parallel_svd(
     result, report = driver.compute(padded, fault_plan=fault_plan)
     if padded.shape[1] != orig:
         result = strip_padding(result, orig)
+    if wide:
+        result = _untranspose(result, n)
     _flag_nonfinite([_unscale(result, e)], "parallel_svd")
     return result, report
 
@@ -410,8 +406,6 @@ def svd_batch(
     options: JacobiOptions | BlockJacobiOptions | None = None,
     kernel: str | None = None,
     block_size: int | None = None,
-    executor: str | None = None,
-    workers: int | None = None,
     profile: "str | Mapping | None" = None,
     **ordering_kwargs: object,
 ) -> BatchResult:
@@ -425,15 +419,13 @@ def svd_batch(
     matrices/sec).
 
     The contract is **bit-identity**: ``svd_batch(stack, ...)[i]`` equals
-    ``svd(stack[i], ...)`` exactly, for every kernel, ordering and
-    executor.
+    ``svd(stack[i], ...)`` exactly, for every kernel and ordering.
     What the batch changes is amortisation, not arithmetic —
     in block mode the schedule is compiled once and every step's local
     solves fuse the whole batch into stacked GEMMs, with per-item
     convergence masks dropping finished matrices out of later sweeps
     (:func:`~repro.blockjacobi.driver.block_jacobi_svd_batch`).
-    ``executor="threads"`` chunks *batch items* across workers while the
-    bits stay those of a serial loop.  Scalar mode (no ``block_size``)
+    Scalar mode (no ``block_size``)
     falls back to a plain loop of :func:`svd`.  The power-of-two
     prescale and the non-finite output postcondition of :func:`svd`
     apply per item.
@@ -457,7 +449,7 @@ def svd_batch(
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
         require_finite(stack[i], f"matrices[{i}]")
-    bopts = _block_options(options, kernel, block_size, executor, workers)
+    bopts = _block_options(options, kernel, block_size)
     exps = _prescale_exponents(stack)
     if exps.any():
         stack = np.ldexp(stack, -exps[:, None, None])

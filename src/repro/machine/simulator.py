@@ -18,8 +18,8 @@ each slot holds a ``b``-column block, a met pair solves a local
 with :func:`repro.blockjacobi.block_jacobi_svd`, which runs the same
 solver on the same row-major storage), every message carries ``b``
 columns, and the step records charge the block work to the cost model.
-Block mode has one sweep loop: faults, the sanitizer and the executor
-hook into it, and a fault-free sweep (the fast path) only adds the gram
+Block mode has one sweep loop: faults and the sanitizer hook into it,
+and a fault-free sweep (the fast path) only adds the gram
 kernel's step-stack carry.
 
 With a :class:`~repro.faults.injector.FaultInjector` installed (via
@@ -73,8 +73,6 @@ class TreeMachine:
         self._WT: np.ndarray | None = None
         # runtime sanitizer for the block-mode local solves (None = off)
         self._sanitizer = None
-        # step executor for the block-mode local solves (None = serial)
-        self._executor = None
         # fault-mode state: injector + reliable transport, and the
         # degraded host map (logical leaf -> physical leaf)
         self.injector = None
@@ -99,7 +97,7 @@ class TreeMachine:
 
     def load(self, a: np.ndarray, compute_v: bool = True,
              kernel: str = "reference", block_size: int | None = None,
-             inner_sweeps: int = 2, executor=None, sanitizer=None) -> None:
+             inner_sweeps: int = 2, sanitizer=None) -> None:
         """Distribute the columns of ``a`` over the leaves.
 
         Scalar mode (``block_size=None``): slot ``i`` holds column ``i``,
@@ -107,10 +105,7 @@ class TreeMachine:
         ``i`` holds the ``block_size`` columns ``i*b .. (i+1)*b - 1`` and
         ``kernel`` names a block-pair solver from
         :data:`repro.blockjacobi.BLOCK_KERNELS` (``inner_sweeps`` cyclic
-        sweeps per met pair).  ``executor`` (a
-        :class:`~repro.parallel.executor.StepExecutor`) runs each step's
-        independent block solves across workers, bit-identical to serial;
-        the caller owns (and closes) it.  ``sanitizer`` (a
+        sweeps per met pair).  ``sanitizer`` (a
         :class:`~repro.verify.sanitize.RuntimeSanitizer`) arms runtime
         write-set records on every block step; the driver owns it and
         runs the sweep-boundary canaries itself.
@@ -145,7 +140,6 @@ class TreeMachine:
         self.labels = np.arange(self.n_slots, dtype=np.intp)
         self.kernel = kernel
         self._sanitizer = sanitizer
-        self._executor = executor
         self._WT = None
         if block_size is not None:
             self.block_cols = np.arange(
@@ -411,14 +405,11 @@ class TreeMachine:
         """True when the fast path may replace the event-driven sweep: no
         fault injector (per-move delivery and degraded host maps need
         real events), no runtime sanitizer (its write-set records hang
-        off the event loop's kernels), no multi-worker executor (the
-        fast path is a single serial pipeline), and no explicit
-        ``force_event`` pin."""
+        off the event loop's kernels), and no explicit ``force_event``
+        pin."""
         if self.force_event or self.injector is not None:
             return False
-        if self._sanitizer is not None:
-            return False
-        return self._executor is None or self._executor.workers <= 1
+        return self._sanitizer is None
 
     def _step_record(self, plan, k: int, cs: CompiledStep, rotations: int,
                      compute_t: float, words: int, sweep_index: int = 0,
@@ -595,7 +586,7 @@ class TreeMachine:
                 st, mx = solve_block_step_rows(
                     XT, VT, row_of_col, pair_cols, tol, sort,
                     self.inner_sweeps, self.kernel, sanitizer=self._sanitizer,
-                    executor=self._executor, scratch=scratch)
+                    scratch=scratch)
                 rstats.merge(st)
                 worst = max(worst, mx)
                 # block granularity: one "rotation" per met block pair

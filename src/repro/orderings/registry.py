@@ -25,22 +25,27 @@ from .roundrobin import RoundRobinOrdering
 __all__ = ["ORDERINGS", "make_ordering", "ordering_names", "shared_ordering"]
 
 
-def _ring(n: int, **kw: object) -> Ordering:
-    return RingOrdering(n, modified=False)
-
-
-def _ring_modified(n: int, **kw: object) -> Ordering:
-    return RingOrdering(n, modified=True)
+def _fixed(name: str, build: Callable[[int], Ordering]) -> Callable[..., Ordering]:
+    """Factory of an ordering without constructor options: any keyword
+    is a caller mistake (a typo such as ``blocksize=``, or a removed
+    option), so it raises instead of being dropped."""
+    def factory(n: int, **kw: object) -> Ordering:
+        if kw:
+            raise TypeError(f"ordering {name!r} takes no keyword arguments; "
+                            f"got {', '.join(sorted(kw))}")
+        return build(n)
+    return factory
 
 
 ORDERINGS: dict[str, Callable[..., Ordering]] = {
-    "round_robin": lambda n, **kw: RoundRobinOrdering(n),
-    "odd_even": lambda n, **kw: OddEvenOrdering(n),
-    "ring_new": _ring,
-    "ring_modified": _ring_modified,
-    "fat_tree": lambda n, **kw: FatTreeOrdering(n),
-    "llb": lambda n, **kw: LLBOrdering(n, **kw),
-    "hybrid": lambda n, **kw: HybridOrdering(n, **kw),
+    "round_robin": _fixed("round_robin", RoundRobinOrdering),
+    "odd_even": _fixed("odd_even", OddEvenOrdering),
+    "ring_new": _fixed("ring_new", lambda n: RingOrdering(n, modified=False)),
+    "ring_modified": _fixed("ring_modified",
+                            lambda n: RingOrdering(n, modified=True)),
+    "fat_tree": _fixed("fat_tree", FatTreeOrdering),
+    "llb": LLBOrdering,
+    "hybrid": HybridOrdering,
 }
 
 
@@ -53,7 +58,8 @@ def make_ordering(name: str, n: int, **kwargs: object) -> Ordering:
     """Instantiate an ordering by name for ``n`` columns.
 
     ``kwargs`` are forwarded to the ordering constructor (e.g.
-    ``n_groups`` for ``hybrid``, ``skip_duplicate`` for ``llb``).
+    ``n_groups`` for ``hybrid``, ``skip_duplicate`` for ``llb``); an
+    ordering that takes none raises :class:`TypeError` on any.
     """
     try:
         factory = ORDERINGS[name]

@@ -151,7 +151,6 @@ class ParallelJacobiSVD:
         machine, ordering = self._build(n)
         opts = self.options
         block = isinstance(opts, BlockJacobiOptions)
-        executor = None
         # fault-injected runs never arm the sanitizer: injected damage is
         # *meant* to reach the recovery machinery (rollback, remap), not
         # to abort the process, and the fault loop runs the same
@@ -166,29 +165,13 @@ class ParallelJacobiSVD:
                 if sanitize_enabled():
                     sanitizer = RuntimeSanitizer()
         if block:
-            executor = opts.make_executor()
             machine.load(a, compute_v=compute_uv, kernel=opts.kernel,
                          block_size=opts.block_size,
-                         inner_sweeps=opts.inner_sweeps,
-                         executor=executor, sanitizer=sanitizer)
+                         inner_sweeps=opts.inner_sweeps, sanitizer=sanitizer)
         else:
             machine.load(a, compute_v=compute_uv, kernel=opts.kernel)
         if sanitizer is not None:
             sanitizer.arm_reference(machine.X)
-        try:
-            return self._compute_loaded(
-                a, machine, ordering, opts, block, compute_uv, fault_plan,
-                sanitizer)
-        finally:
-            if executor is not None:
-                executor.close()
-
-    def _compute_loaded(
-        self, a, machine, ordering, opts, block, compute_uv, fault_plan,
-        sanitizer=None,
-    ) -> tuple[SVDResult, ParallelRunReport]:
-        """The sweep loop of :meth:`compute` on a loaded machine."""
-        m, n = a.shape
         injector = None
         watchdog = None
         if fault_plan is not None:

@@ -10,9 +10,8 @@ write-set records (``SAN001``)
     scatter into (``record_touch``).  When the step closes, the record
     must agree with the statically derived per-pair write-sets: every
     touched column inside its claimed range's sets, and disjoint ranges
-    touching disjoint columns.  Under the ``threads`` step executor the
-    kernels replay one record per chunk in the calling thread after the
-    dispatch settles, so the records need no lock.
+    touching disjoint columns.  The host runs a step serially, so the
+    kernels emit one record per step covering all of its pairs.
 
 sweep-boundary numeric canaries (``SAN002``/``SAN003``)
     The same invariant detectors the fault-recovery driver uses

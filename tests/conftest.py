@@ -1,30 +1,9 @@
-"""Shared fixtures for the test-suite.
-
-The suite honours the step-executor environment knobs: running it with
-``REPRO_EXECUTOR=threads REPRO_WORKERS=2`` makes every block-mode driver
-default to the threaded step backend (results are bit-identical to
-serial, so the whole suite must pass unchanged — CI runs it both ways).
-"""
+"""Shared fixtures for the test-suite."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
-
-
-def pytest_report_header(config) -> list[str]:
-    """Surface the executor the suite runs under (env-driven default)."""
-    from repro.parallel.executor import default_executor_name, default_workers
-
-    name = default_executor_name()
-    line = f"repro step executor: {name}"
-    if name != "serial":
-        line += f" (workers={default_workers()})"
-    if "REPRO_EXECUTOR" in os.environ or "REPRO_WORKERS" in os.environ:
-        line += "  [from environment]"
-    return [line]
 
 
 @pytest.fixture

@@ -2,8 +2,8 @@
 
 The batch API's whole contract is that fusing the problem axis changes
 amortisation, not arithmetic — ``svd_batch(stack, ...)[i]`` must equal
-``svd(stack[i], ...)`` *bit for bit* for every kernel, ordering and
-executor, including batches mixing well-conditioned, rank-deficient and
+``svd(stack[i], ...)`` *bit for bit* for every kernel and ordering,
+including batches mixing well-conditioned, rank-deficient and
 ill-conditioned items (whose convergence masks retire them in different
 sweeps).  These tests enforce that with ``np.array_equal``, no
 tolerances anywhere.
@@ -21,7 +21,6 @@ from repro.core.result import SVDResult
 
 KERNELS = ("reference", "gram")
 ORDERINGS = ("fat_tree", "ring_new")
-EXECUTORS = (("serial", None), ("threads", 2))
 
 RESULT_FIELDS = ("u", "sigma", "v", "sigma_by_slot", "rank", "converged",
                  "sweeps", "rotations", "emerged_sorted")
@@ -55,18 +54,15 @@ def assert_results_identical(got: SVDResult, want: SVDResult) -> None:
 
 
 class TestBatchConformance:
-    """The golden grid: every kernel x ordering x size x executor."""
+    """The golden grid: every kernel x ordering x size."""
 
-    @pytest.mark.parametrize("executor,workers", EXECUTORS)
     @pytest.mark.parametrize("n", [4, 8, 16])
     @pytest.mark.parametrize("ordering", ORDERINGS)
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_batch_equals_loop(self, rng, kernel, ordering, n, executor,
-                               workers):
+    def test_batch_equals_loop(self, rng, kernel, ordering, n):
         b = max(1, n // 4)
         stack = make_mixed_batch(n, rng)
-        kw = dict(ordering=ordering, kernel=kernel, block_size=b,
-                  executor=executor, workers=workers)
+        kw = dict(ordering=ordering, kernel=kernel, block_size=b)
         batch = svd_batch(stack, **kw)
         assert isinstance(batch, BatchResult)
         assert len(batch) == len(stack)

@@ -89,28 +89,6 @@ class TestCommands:
         assert rc == 2
         assert "positive" in capsys.readouterr().out
 
-    def test_svd_executor_without_block_size_is_usage_error(self, capsys):
-        rc = main(["svd", "--executor", "threads"])
-        assert rc == 2
-        assert "--block-size" in capsys.readouterr().out
-
-    def test_svd_workers_without_block_size_is_usage_error(self, capsys):
-        rc = main(["svd", "--workers", "2"])
-        assert rc == 2
-        assert "--block-size" in capsys.readouterr().out
-
-    def test_svd_nonpositive_workers_is_usage_error(self, capsys):
-        rc = main(["svd", "--block-size", "4", "--workers", "0"])
-        assert rc == 2
-        assert ">= 1" in capsys.readouterr().out
-
-    def test_svd_threads_executor_runs(self, capsys):
-        rc = main(["svd", "--m", "40", "--n", "32", "--serial",
-                   "--block-size", "4", "--executor", "threads",
-                   "--workers", "2"])
-        assert rc == 0
-        assert "converged=True" in capsys.readouterr().out
-
     def test_svd_batched_with_block_size_is_usage_error(self, capsys):
         rc = main(["svd", "--kernel", "batched", "--block-size", "4"])
         assert rc == 2

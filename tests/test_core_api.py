@@ -11,6 +11,7 @@ from repro import (
     ordering_names,
     parallel_svd,
     svd,
+    svd_batch,
 )
 
 
@@ -90,6 +91,34 @@ class TestRegistry:
     def test_unknown(self):
         with pytest.raises(ValueError):
             make_ordering("butterfly", 16)
+
+    @pytest.mark.parametrize("name", ["fat_tree", "odd_even", "ring_modified",
+                                      "ring_new", "round_robin"])
+    def test_optionless_ordering_rejects_keywords(self, name):
+        with pytest.raises(TypeError, match=f"{name}.*n_groups"):
+            make_ordering(name, 16, n_groups=4)
+
+
+class TestUnknownKeywords:
+    # keywords beyond the named parameters go to the ordering factory;
+    # an ordering without options used to drop them, so a typo
+    # (blocksize=) ran scalar mode and a removed option (executor=) was
+    # accepted, both reporting converged=True
+
+    @pytest.mark.parametrize("block_size", [None, 4])
+    @pytest.mark.parametrize("kw", [{"executor": "threads"},
+                                    {"blocksize": 8}])
+    @pytest.mark.parametrize("entry", ["svd", "svd_batch", "parallel_svd"])
+    def test_unknown_keyword_raises(self, rng, entry, kw, block_size):
+        a = rng.standard_normal((12, 8))
+        opts = dict(ordering="fat_tree", block_size=block_size, **kw)
+        with pytest.raises(TypeError, match=f"fat_tree.*{next(iter(kw))}"):
+            if entry == "svd":
+                svd(a, **opts)
+            elif entry == "svd_batch":
+                svd_batch(a[None], **opts)
+            else:
+                parallel_svd(a, topology="perfect", **opts)
 
 
 class TestResultObject:

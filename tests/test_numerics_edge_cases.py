@@ -299,6 +299,36 @@ class TestWideInput:
         assert np.allclose(r.v.T @ r.v, np.eye(24), atol=1e-10)
         assert np.allclose((r.u * r.sigma) @ r.v.T, a, atol=1e-12)
 
+    @pytest.mark.parametrize("block_size", [None, 2])
+    @pytest.mark.parametrize("entry", ["parallel_svd", "svd-fault-plan"])
+    def test_machine_path_converges_without_warnings(self, rng, entry,
+                                                     block_size):
+        # the simulated machine ran the wide matrix as given: the n - m
+        # null columns never converged (60 sweeps, converged=False and a
+        # flood of RuntimeWarnings); it now runs the tall transpose too
+        import warnings
+
+        from repro import FaultPlan
+
+        a = rng.standard_normal((16, 32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("error", ConvergenceWarning)
+            if entry == "parallel_svd":
+                r, rep = parallel_svd(a, block_size=block_size)
+                assert len(rep.sweep_stats) == r.sweeps
+            else:
+                r = svd(a, block_size=block_size, fault_plan=FaultPlan())
+        assert r.converged
+        assert r.sigma.shape == (32,)
+        assert r.u.shape == (16, 32)
+        assert r.v.shape == (32, 32)
+        ref = np.linalg.svd(a, compute_uv=False)
+        assert np.max(np.abs(r.sigma[:16] - ref)) < 1e-12 * ref[0]
+        assert np.all(r.sigma[16:] == 0.0)
+        assert np.allclose(r.v.T @ r.v, np.eye(32), atol=1e-10)
+        assert np.allclose((r.u * r.sigma) @ r.v.T, a, atol=1e-12)
+
     @pytest.mark.parametrize("block_size", [None, 4])
     def test_svd_batch_matches_loop(self, rng, block_size):
         import warnings

@@ -1,7 +1,7 @@
 """Tests of the opt-in runtime sanitizer (repro.verify.sanitize).
 
-Positive direction: sanitized runs of every block kernel and step
-executor complete cleanly and still match LAPACK.  Negative direction:
+Positive direction: sanitized runs of every block kernel complete
+cleanly and still match LAPACK.  Negative direction:
 each corrupted runtime record — stray column touch, overlapping
 touches, poisoned or drifted factors — trips exactly the SAN rule it is
 engineered for, and a violation aborts the run via SanitizerError.
@@ -184,15 +184,10 @@ class TestSanitizedRuns:
     """End-to-end: sanitized runs stay clean and still match LAPACK."""
 
     @pytest.mark.parametrize("kernel", ["reference", "gram"])
-    @pytest.mark.parametrize("executor,workers", [("serial", None),
-                                                  ("threads", 4)])
-    def test_block_jacobi_clean_under_sanitizer(self, kernel, executor,
-                                                workers):
+    def test_block_jacobi_clean_under_sanitizer(self, kernel):
         rng = np.random.default_rng(17)
         a = rng.standard_normal((24, 16))
-        opts = BlockJacobiOptions(block_size=2, kernel=kernel,
-                                  executor=executor, workers=workers,
-                                  sanitize=True)
+        opts = BlockJacobiOptions(block_size=2, kernel=kernel, sanitize=True)
         r = block_jacobi_svd(a, options=opts)
         assert r.converged
         np.testing.assert_allclose(r.sigma, np.linalg.svd(a, compute_uv=False),
